@@ -16,10 +16,18 @@ from .bitrade import build_bitrade, validate_homogeneous
 from .census import census
 from .construct import distance3_pair, even_char_theta, max_degree_orthomorphism
 from .errors import PreconditionError, SearchExhaustedError
-from .gf import FieldSpec, build_field, field_from_json
+from .gf import FieldSpec, build_field, field_from_json, json_int
 from .ortho import (cyclotomic_profile, is_irregular, is_orthomorphism,
                     is_permutation, map_table)
 from .polyops import interpolate, reduced_poly, tabulate
+
+
+#: Largest field order verify accepts.  Interpolating the map and scanning
+#: its translations take O(q^2) time: on a 2-core machine, verify --map of a
+#: random permutation took 50 s at 3^10 and 35 s at 2^16, the slowest orders
+#: at or below this cap, and 64 s at 5^7.  Larger orders are refused before
+#: the field is built, which alone takes seconds near 2^20.
+VERIFY_CAP = 2**16
 
 
 def _parse_modulus(text: str) -> tuple[int, ...]:
@@ -44,10 +52,6 @@ def _add_field_args(sub) -> None:
                      help="primitive element code (default: smallest)")
 
 
-def _map_payload(t) -> dict:
-    return {"field": t.field.to_json(), "values": list(t.values)}
-
-
 def cmd_field(args) -> dict:
     fs = _build_from_args(args)
     return {"field": fs.to_json(), "q": fs.q}
@@ -58,8 +62,8 @@ def cmd_pair(args) -> dict:
     pair = distance3_pair(fs, seed=args.seed)
     return {
         "field": fs.to_json(),
-        "f": _map_payload(pair.f),
-        "g": _map_payload(pair.g),
+        "f": pair.f.to_json(),
+        "g": pair.g.to_json(),
         "distance": pair.distance,
         "provenance": pair.provenance,
         "f_poly": interpolate(pair.f).to_json(),
@@ -84,7 +88,14 @@ def _load_json(path: str) -> dict:
 def cmd_verify(args) -> dict:
     doc = _load_json(args.map if args.map else args.poly)
     try:
-        fs = field_from_json(doc["field"])
+        spec = doc["field"]
+        p, r = json_int(spec["p"], "p"), json_int(spec["r"], "r")
+        # r is bounded first, so a huge r costs no huge power
+        if p >= 2 and (r >= VERIFY_CAP.bit_length() or p**r > VERIFY_CAP):
+            raise PreconditionError(
+                f"verify is capped at q = {VERIFY_CAP}, got q = {p}^{r}: "
+                "interpolation and the irregularity scan take O(q^2) time")
+        fs = field_from_json(spec)
         if args.map:
             t = map_table(fs, doc["values"])
             degree = interpolate(t).degree
@@ -138,7 +149,7 @@ def cmd_irregular(args) -> dict:
                     continue
                 t = even_char_theta(fs, a, c)
                 if is_irregular(t):
-                    payload = _map_payload(t)
+                    payload = t.to_json()
                     payload["branch"] = "even-theta"
                     payload["params"] = {"a": a, "c": c}
                     payload["irregular"] = True
@@ -148,7 +159,7 @@ def cmd_irregular(args) -> dict:
         poly = max_degree_orthomorphism(fs, seed=args.seed)
         t = tabulate(poly)
         assert is_irregular(t), "maximal-degree orthomorphism is not irregular"
-        payload = _map_payload(t)
+        payload = t.to_json()
         payload["branch"] = "max-degree"
         payload["degree"] = poly.degree
         payload["irregular"] = True

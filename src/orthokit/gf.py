@@ -7,6 +7,13 @@ exactly the prime subfield.  Addition works digit-wise in base p (XOR when
 p == 2); multiplication, inversion and powers go through exp/log tables for
 a fixed primitive element gamma, so each costs a couple of lookups.
 
+Next to the scalar operations, each field carries numpy views of its tables
+(exp_array, log_array, digit_array, built on first use) and elementwise
+add_array / sub_array / mul_array plus a field sum along an axis.  They
+follow the same three addition branches as add: mod p for primes, XOR for
+p == 2, digit-wise mod p otherwise.  The map and polynomial routines in
+ortho and polyops run on these, in chunks of about CHUNK elements.
+
 Construction policy, fully deterministic:
 
 * the default modulus is the lexicographically smallest monic irreducible of
@@ -23,12 +30,28 @@ FieldSpec instances are frozen and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import PreconditionError
 
 #: Largest supported field order; every table here is Theta(q) ints.
 ORDER_CAP = 2**20
+
+#: Elements per 2-D temporary in the array kernels: large enough to amortise
+#: numpy's per-call overhead, small enough to stay in cache and add about a
+#: megabyte of peak memory.
+CHUNK = 2**14
+
+
+def json_int(value, what: str) -> int:
+    """value itself when it is a Python int (not a bool); JSON input must not
+    be truncated from 7.5 or read from true or "3"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -46,7 +69,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
+def distinct_prime_factors(n: int) -> list[int]:
     out = []
     f = 2
     while f * f <= n:
@@ -268,6 +291,78 @@ class FieldSpec:
         return {"p": self.p, "r": self.r,
                 "modulus": list(self.modulus), "gamma": self.gamma}
 
+    # -- array kernel --------------------------------------------------------
+    # Arguments are int64 arrays (or ints) of element codes; results are
+    # int64 arrays broadcast from them.
+
+    @cached_property
+    def exp_array(self) -> np.ndarray:
+        return np.array(self.exp_table, dtype=np.int64)
+
+    @cached_property
+    def log_array(self) -> np.ndarray:
+        return np.array(self.log_table, dtype=np.int64)
+
+    @cached_property
+    def digit_array(self) -> np.ndarray:
+        """digit_array[a, i] is base-p digit i of the code a (shape q x r)."""
+        place = self.p ** np.arange(self.r, dtype=np.int64)
+        codes = np.arange(self.q, dtype=np.int64)[:, None]
+        return (codes // place % self.p).astype(np.int16)
+
+    def _from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """Codes of a fresh array of digit sums (last axis), each taken mod p;
+        works in place, so no r-fold int64 temporary is made."""
+        digits %= self.p
+        code = np.zeros(digits.shape[:-1], dtype=np.int64)
+        for i in reversed(range(self.r)):
+            code *= self.p
+            code += digits[..., i]
+        return code
+
+    def add_array(self, a, b) -> np.ndarray:
+        if self.r == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        d = self.digit_array
+        return self._from_digits(d[a] + d[b])
+
+    def sub_array(self, a, b) -> np.ndarray:
+        if self.r == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        d = self.digit_array
+        return self._from_digits(d[a] - d[b])
+
+    def mul_array(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        log = self.log_array
+        prod = self.exp_array[(log[a] + log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def sum_array(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum of the codes in a along axis."""
+        if self.r == 1:
+            return a.sum(axis=axis) % self.p
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        # add the codes as plain integers in a radix wide enough that no
+        # digit carries within a run, then reduce each digit mod p
+        wide, bits, run = self._wide_codes
+        partial = np.add.reduceat(wide[a], np.arange(0, a.shape[axis], run), axis=axis)
+        digits = (partial[..., None] >> (bits * np.arange(self.r))) & ((1 << bits) - 1)
+        return self._from_digits(digits.sum(axis=axis % a.ndim, dtype=np.int64))
+
+    @cached_property
+    def _wide_codes(self) -> tuple[np.ndarray, int, int]:
+        """Every code with its base-p digits spread to `bits` bits each, and
+        the run length of terms that can be added before a digit overflows."""
+        bits = 63 // self.r
+        wide = self.digit_array.astype(np.int64) @ (1 << (bits * np.arange(self.r)))
+        return wide, bits, ((1 << bits) - 1) // (self.p - 1)
+
 
 def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
                 gamma: int | None = None) -> FieldSpec:
@@ -292,7 +387,7 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
     else:
         mod = None  # degree-1 convention y - gamma, fixed once gamma is known
 
-    factors = _distinct_prime_factors(q - 1)
+    factors = distinct_prime_factors(q - 1)
     probe = mod if mod is not None else (0, 1)
     if gamma is None:
         for cand in range(1, q):
@@ -321,5 +416,13 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
 
 
 def field_from_json(data: dict) -> FieldSpec:
-    return build_field(int(data["p"]), int(data["r"]),
-                       data.get("modulus"), data.get("gamma"))
+    """build_field from a to_json() document; every number must be a JSON
+    integer."""
+    modulus = data.get("modulus")
+    if modulus is not None:
+        modulus = [json_int(c, "modulus coefficient") for c in modulus]
+    gamma = data.get("gamma")
+    if gamma is not None:
+        gamma = json_int(gamma, "gamma")
+    return build_field(json_int(data["p"], "p"), json_int(data["r"], "r"),
+                       modulus, gamma)

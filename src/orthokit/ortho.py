@@ -1,17 +1,23 @@
 """Maps of a finite field as value tables.
 
 Permutation and orthomorphism tests, translations, cyclotomic maps, the
-minimal proper cyclotomic index of a map, and the brute-force irregularity
-decision.  Everything here is an O(q) or O(q * divisors) table scan; these
-are the ground-truth verifiers the constructions are checked against.
+minimal proper cyclotomic index of a map, and the irregularity decision.
+The predicates, difference_map, translate and cyclotomic_profile are O(q)
+array passes on the field's array kernel; cyclotomic_profile tests one
+period per prime factor of q - 1.  is_irregular scans all q translations
+in row blocks, O(q^2) in the worst case, and stops at the first block that
+holds a cyclotomic translation.  Their independent references are the
+brute-force oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
-from .gf import FieldSpec
+from .gf import CHUNK, FieldSpec, distinct_prime_factors, json_int
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,7 @@ class MapTable:
 
 def map_table(field: FieldSpec, values) -> MapTable:
     """Validated MapTable constructor for external data."""
-    vals = tuple(int(v) for v in values)
+    vals = tuple(json_int(v, "map value") for v in values)
     if len(vals) != field.q or any(not 0 <= v < field.q for v in vals):
         raise PreconditionError(
             f"a map over GF({field.q}) needs exactly q values with codes in [0, q)")
@@ -45,19 +51,19 @@ def linear_map(field: FieldSpec, a: int) -> MapTable:
 
 
 def is_permutation(t: MapTable) -> bool:
-    seen = 0
-    for v in t.values:
-        bit = 1 << v
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
+    """Whether the values are pairwise distinct."""
+    return len(set(t.values)) == len(t.values)
+
+
+def _array(t: MapTable) -> np.ndarray:
+    return np.array(t.values, dtype=np.int64)
 
 
 def difference_map(t: MapTable) -> MapTable:
     """x -> t(x) - x, the second permutation an orthomorphism must induce."""
-    sub = t.field.sub
-    return MapTable(t.field, tuple(sub(v, x) for x, v in enumerate(t.values)))
+    fs = t.field
+    d = fs.sub_array(_array(t), np.arange(len(t.values), dtype=np.int64))
+    return MapTable(fs, tuple(d.tolist()))
 
 
 def is_orthomorphism(t: MapTable) -> bool:
@@ -68,9 +74,9 @@ def translate(t: MapTable, g: int) -> MapTable:
     """T_g: x -> t(x + g) - t(g).  Maps orthomorphisms to orthomorphisms
     and always fixes 0."""
     fs = t.field
-    tg = t.values[g]
-    return MapTable(fs, tuple(fs.sub(t.values[fs.add(x, g)], tg)
-                              for x in range(fs.q)))
+    v = _array(t)
+    shifted = v[fs.add_array(np.arange(fs.q, dtype=np.int64), g)]
+    return MapTable(fs, tuple(fs.sub_array(shifted, v[g]).tolist()))
 
 
 def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
@@ -106,31 +112,54 @@ class CyclotomicProfile:
                 "coeffs": None if self.coeffs is None else list(self.coeffs)}
 
 
-def _proper_divisors(n: int) -> list[int]:
-    """Divisors of n strictly below n, ascending."""
-    return [d for d in range(1, n) if n % d == 0]
+def _periodic(seq: np.ndarray, d: int) -> bool:
+    """Whether seq repeats with period d; d divides its length."""
+    return bool((seq[d:] == seq[:-d]).all())
 
 
 def cyclotomic_profile(t: MapTable) -> CyclotomicProfile:
     fs = t.field
-    q = fs.q
+    q1 = fs.q - 1
     if t.values[0] != 0:
         return CyclotomicProfile(None, None)
     # ratios[k] = t(gamma^k) / gamma^k; index-n cyclotomic means the ratio
-    # only depends on k mod n.
-    ratios = [fs.mul(t.values[fs.exp_table[k]], fs.inv(fs.exp_table[k]))
-              for k in range(q - 1)]
-    for n in _proper_divisors(q - 1):
-        if all(ratios[k] == ratios[k % n] for k in range(q - 1)):
-            return CyclotomicProfile(n, tuple(ratios[:n]))
-    return CyclotomicProfile(None, None)
+    # only depends on k mod n.  The indices that fit are the multiples of the
+    # least one, so dividing q - 1 by each prime while the ratios keep
+    # repeating reaches it.
+    exp = fs.exp_array
+    ratios = fs.mul_array(_array(t)[exp], exp[-np.arange(q1) % q1])
+    n = q1
+    for ell in distinct_prime_factors(q1):
+        while n % ell == 0 and _periodic(ratios, n // ell):
+            n //= ell
+    if n == q1:
+        return CyclotomicProfile(None, None)
+    return CyclotomicProfile(n, tuple(ratios[:n].tolist()))
 
 
 def is_irregular(t: MapTable) -> bool:
     """True when no translation of t is cyclotomic of any proper index."""
     if not is_orthomorphism(t):
         raise PreconditionError("irregularity is defined for orthomorphisms only")
-    for g in range(t.field.q):
-        if cyclotomic_profile(translate(t, g)).min_index is not None:
-            return False
+    fs = t.field
+    q, q1 = fs.q, fs.q - 1
+    exp = fs.exp_array
+    # T_g is cyclotomic of index d iff T_g(gamma^(k + d)) == gamma^d *
+    # T_g(gamma^k) for every k; a proper index fits iff one of the maximal
+    # ones, (q - 1) / prime, does.  scale[i][x] == gamma^d * x for period i.
+    periods = [q1 // ell for ell in distinct_prime_factors(q1)]
+    codes = np.arange(q, dtype=np.int64)
+    scale = [fs.mul_array(codes, exp[d]) for d in periods]
+    v = _array(t)
+    # translations g in blocks of 1, 2, 4, ... rows up to CHUNK elements, so
+    # a map whose first translations are cyclotomic stops after little work
+    lo, rows, most = 0, 1, max(1, CHUNK // q1)
+    while lo < q:
+        g = codes[lo:lo + rows, None]
+        tg = fs.sub_array(v[fs.add_array(exp, g)], v[g])  # T_g(gamma^k)
+        for d, times in zip(periods, scale):
+            if (tg[:, d:] == times[tg[:, :-d]]).all(axis=1).any():
+                return False
+        lo += rows
+        rows = min(2 * rows, most)
     return True

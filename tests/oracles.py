@@ -207,3 +207,59 @@ def near_linear_first_hit(of: OracleField, exp_seq: list[int]):
             if hamming(vals, lin) == 3:
                 return a0, a1, tuple(vals)
     return None
+
+
+def tabulate_poly(of: OracleField, coeffs) -> list[int]:
+    """Values of sum(coeffs[i] * x^i) at every element, by Horner's rule."""
+    out = []
+    for x in range(of.q):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = of.add(of.mul(acc, x), c)
+        out.append(acc)
+    return out
+
+
+def difference_table(of: OracleField, values) -> list[int]:
+    return [of.sub(v, x) for x, v in enumerate(values)]
+
+
+def translate_table(of: OracleField, values, g: int) -> list[int]:
+    return [of.sub(values[of.add(x, g)], values[g]) for x in range(of.q)]
+
+
+def _cyclotomic_tables(of: OracleField):
+    """Multiplication table, inverses, and the index-n subgroup {x^n} for
+    every proper divisor n of q - 1; built once per OracleField."""
+    tables = getattr(of, "_cyclotomic_tables", None)
+    if tables is None:
+        q = of.q
+        mul = [[of.mul(a, b) for b in range(q)] for a in range(q)]
+        inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        subgroups = {n: sorted({of.powi(x, n) for x in range(1, q)})
+                     for n in range(1, q - 1) if (q - 1) % n == 0}
+        tables = of._cyclotomic_tables = (mul, inv, subgroups)
+    return tables
+
+
+def cyclotomic_min_index(of: OracleField, values) -> int | None:
+    """Smallest proper divisor n of q - 1 such that t(x) / x is constant on
+    every coset of the index-n subgroup {x^n}, by checking t(h*x) / (h*x) ==
+    t(x) / x for every x != 0 and every h in the subgroup.  None when t(0)
+    != 0 or no proper index fits."""
+    if values[0] != 0:
+        return None
+    mul, inv, subgroups = _cyclotomic_tables(of)
+    ratio = [mul[v][inv[x]] for x, v in enumerate(values)]
+    for n, subgroup in subgroups.items():
+        if all(ratio[mul[h][x]] == ratio[x]
+               for h in subgroup for x in range(1, of.q)):
+            return n
+    return None
+
+
+def is_irregular_table(of: OracleField, values) -> bool:
+    """No translation x -> t(x + g) - t(g) is cyclotomic of a proper index."""
+    assert is_orthomorphism_table(of, values)
+    return all(cyclotomic_min_index(of, translate_table(of, values, g)) is None
+               for g in range(of.q))

@@ -1,11 +1,12 @@
 """End-to-end command-line runs: payload schemas, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
 from orthokit import build_field, interpolate, is_irregular, map_table
-from orthokit.cli import main
+from orthokit.cli import VERIFY_CAP, main
 
 
 def run(capsys, *argv):
@@ -129,6 +130,52 @@ def test_verify_malformed_inputs_exit_2(capsys, tmp_path):
     not_obj.write_text("[1, 2, 3]")
     code, doc = run_json(capsys, "verify", "--map", str(not_obj))
     assert code == 2 and "object" in doc["reason"]
+
+
+@pytest.mark.parametrize("bad", [7.5, True, "3"])
+@pytest.mark.parametrize("where", ["values", "coeffs", "p", "r", "gamma",
+                                   "modulus"])
+def test_verify_rejects_non_integer_json(capsys, tmp_path, bad, where):
+    fs = build_field(3, 2)
+    doc = {"field": fs.to_json()}
+    if where == "coeffs":
+        doc["coeffs"] = [0, 2, bad]
+    else:
+        doc["values"] = [0, 2, 1, 6, 8, 7, 3, 5, bad]
+    if where in ("p", "r", "gamma"):
+        doc["values"][-1] = 4
+        doc["field"][where] = bad
+    elif where == "modulus":
+        doc["values"][-1] = 4
+        doc["field"]["modulus"][1] = bad
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--poly" if where == "coeffs" else "--map"
+    code, out = run_json(capsys, "verify", flag, str(path))
+    assert code == 2
+    assert out["error"] == "PreconditionError"
+    assert "JSON integer" in out["reason"]
+
+
+@pytest.mark.parametrize("p,r", [(2, 17), (2, 20), (3, 11), (2, 10**9),
+                                 (10**30 + 57, 1)])
+def test_verify_refuses_fields_above_cap_at_once(capsys, tmp_path, p, r):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": {"p": p, "r": r}, "values": []}))
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert time.perf_counter() - start < 0.5  # no field is built
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert f"capped at q = {VERIFY_CAP}" in doc["reason"]
+
+
+def test_verify_accepts_the_cap_order(capsys, tmp_path):
+    # 2^16 itself is accepted: rejected here for its values, after the build
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"field": {"p": 2, "r": 16}, "values": [0]}))
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert VERIFY_CAP == 2**16
+    assert code == 2 and "exactly q values" in doc["reason"]
 
 
 def test_bitrade_json(capsys):

@@ -1,0 +1,150 @@
+"""The array kernel and the map/polynomial routines built on it, checked
+against the brute-force oracles on every prime power q <= 32."""
+
+import random
+
+import numpy as np
+import pytest
+
+from orthokit import (NonexistenceError, cyclotomic_map, cyclotomic_profile,
+                      difference_map, distance3_pair, interpolate,
+                      is_irregular, is_orthomorphism, linear_map, map_table,
+                      reduced_poly, tabulate, translate)
+
+from oracles import (OracleField, cyclotomic_min_index, difference_table,
+                     is_irregular_table, lagrange_interpolate, poly_degree,
+                     tabulate_poly, translate_table)
+
+#: (p, r) for every prime power q <= 32: all three field shapes.
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2),
+                (3, 3), (29, 1), (31, 1), (2, 5)]
+
+
+def _sample_maps(fs, rng):
+    """Random tables, random permutations, the edge cases, cyclotomic maps
+    of every proper index, and both members of the distance-3 pair with some
+    of their translates."""
+    q = fs.q
+    maps = [[rng.randrange(q) for _ in range(q)] for _ in range(3)]
+    for _ in range(2):
+        perm = list(range(q))
+        rng.shuffle(perm)
+        maps.append(perm)
+    maps += [[0] * q, [q - 1] * q, [1] + [0] * (q - 1)]
+    for n in range(1, q - 1):
+        if (q - 1) % n == 0:
+            maps.append(list(cyclotomic_map(
+                fs, n, [rng.randrange(q) for _ in range(n)]).values))
+    try:
+        pair = distance3_pair(fs)
+    except NonexistenceError:
+        return maps, []
+    members = [pair.f, pair.g]
+    shifts = rng.sample(range(1, q), min(q - 1, 6))
+    orthos = members + [translate(m, g) for m in members for g in shifts]
+    return maps + [list(t.values) for t in orthos], orthos
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_kernel_ops_match_oracle(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    a, b = np.meshgrid(np.arange(fs.q), np.arange(fs.q))
+    a, b = a.ravel(), b.ravel()
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert fs.add_array(a, b).tolist() == [of.add(x, y) for x, y in pairs]
+    assert fs.sub_array(a, b).tolist() == [of.sub(x, y) for x, y in pairs]
+    assert fs.mul_array(a, b).tolist() == [of.mul(x, y) for x, y in pairs]
+    rows = np.random.default_rng(p * r).integers(0, fs.q, size=(5, 3 * fs.q))
+    for row, got in zip(rows.tolist(), fs.sum_array(rows, axis=1).tolist()):
+        want = 0
+        for x in row:
+            want = of.add(want, x)
+        assert got == want
+    assert fs.sum_array(rows.T, axis=0).tolist() == \
+        fs.sum_array(rows, axis=-1).tolist()
+
+
+@pytest.mark.parametrize("p,r", [(3, 6), (5, 4)])
+def test_field_sum_of_long_rows_of_top_digits(field, p, r):
+    # every digit at p - 1: the row sums where digit sums grow fastest
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    n = 4 * fs.q
+    want = 0
+    for _ in range(n):
+        want = of.add(want, fs.q - 1)
+    rows = np.full((2, n), fs.q - 1, dtype=np.int64)
+    assert fs.sum_array(rows, axis=1).tolist() == [want, want]
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_map_routines_match_oracle(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    q = fs.q
+    rng = random.Random(q)
+    maps, orthos = _sample_maps(fs, rng)
+    for vals in maps:
+        t = map_table(fs, vals)
+        poly = interpolate(t)
+        # degree < q and agreement everywhere pin the interpolant down
+        assert len(poly.coeffs) <= q
+        assert tabulate_poly(of, poly.coeffs) == vals
+        assert tabulate(poly).values == tuple(vals)
+        assert difference_map(t).values == tuple(difference_table(of, vals))
+        assert cyclotomic_profile(t).min_index == cyclotomic_min_index(of, vals)
+        for g in range(q):
+            assert translate(t, g).values == tuple(translate_table(of, vals, g))
+    # one full textbook Lagrange interpolation per field
+    want = lagrange_interpolate(of, maps[0])
+    got = interpolate(map_table(fs, maps[0]))
+    assert got.degree == poly_degree(want)
+    assert got.coeffs + (0,) * (q - len(got.coeffs)) == want
+    for t in orthos:
+        assert is_irregular(t) == is_irregular_table(of, list(t.values))
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_tabulate_matches_oracle_on_random_polys(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    rng = random.Random(fs.q)
+    for length in (0, 1, 2, fs.q):
+        coeffs = [rng.randrange(fs.q) for _ in range(length)]
+        assert list(tabulate(reduced_poly(fs, coeffs)).values) == \
+            tabulate_poly(of, coeffs)
+
+
+def test_edge_case_maps(field):
+    fs = field(7, 1)
+    zero = interpolate(map_table(fs, [0] * 7))
+    assert zero.coeffs == () and zero.degree is None
+    assert tabulate(zero).values == (0,) * 7
+    const = interpolate(map_table(fs, [4] * 7))
+    assert const.coeffs == (4,) and const.degree == 0
+    assert cyclotomic_profile(map_table(fs, [4] * 7)).min_index is None
+    shifted = map_table(fs, [(3 * x + 2) % 7 for x in range(7)])  # t(0) != 0
+    assert interpolate(shifted).coeffs == (2, 3)
+    assert cyclotomic_profile(shifted).min_index is None
+    assert is_orthomorphism(shifted) and not is_irregular(shifted)
+
+
+def test_affine_map_stops_at_first_translation(field):
+    # every translation of an affine map is linear, so the scan ends at g = 0
+    fs = field(3, 6)
+    t = map_table(fs, [fs.add(fs.mul(2, x), 5) for x in range(fs.q)])
+    assert not is_irregular(t)
+    assert not is_irregular(linear_map(fs, 2))
+
+
+@pytest.mark.parametrize("p,r", [(3, 6), (5, 4), (2, 10), (1019, 1)])
+def test_roundtrip_medium_fields(field, p, r):
+    fs = field(p, r)
+    rng = random.Random(fs.q)
+    perm = list(range(fs.q))
+    rng.shuffle(perm)
+    for vals in (perm, [rng.randrange(fs.q) for _ in range(fs.q)]):
+        t = map_table(fs, vals)
+        assert tabulate(interpolate(t)).values == t.values

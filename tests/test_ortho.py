@@ -32,6 +32,7 @@ def test_basic_predicates(field):
     assert is_orthomorphism(doubling)
     assert not is_orthomorphism(identity)  # difference map is constant 0
     assert not is_permutation(map_table(fs, [0, 0, 1, 2, 3]))
+    assert not is_permutation(map_table(fs, [1, 2, 3, 4, 1]))  # last only
     shifted = map_table(fs, [(x + 1) % 5 for x in range(5)])
     assert is_permutation(shifted) and not is_orthomorphism(shifted)
 
