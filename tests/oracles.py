@@ -10,6 +10,7 @@ a tautology.  All functions speak the same integer element codes
 from __future__ import annotations
 
 from itertools import permutations
+from numbers import Integral
 
 
 def code_to_vec(code: int, p: int, r: int) -> tuple[int, ...]:
@@ -263,3 +264,46 @@ def is_irregular_table(of: OracleField, values) -> bool:
     assert is_orthomorphism_table(of, values)
     return all(cyclotomic_min_index(of, translate_table(of, values, g)) is None
                for g in range(of.q))
+
+
+def is_homogeneous_bitrade(q: int, k: int, first, second) -> bool:
+    """The k-homogeneous bitrade axioms by set arithmetic on tuples.
+
+    first and second are sequences of triples (row, col, sym); every entry
+    must be an integer code in [0, q), and a bitrade must be nonempty.
+    """
+    size = k * q
+    if size < 1:
+        return False
+    halves = []
+    for half in (first, second):
+        try:
+            rows = [tuple(t) for t in half]
+        except TypeError:  # a flat sequence of numbers
+            return False
+        if any(len(t) != 3 or not all(isinstance(c, Integral) and 0 <= c < q
+                                      for c in t) for t in rows):
+            return False
+        halves.append(tuple(tuple(int(c) for c in t) for t in rows))
+    first, second = halves
+    for half in halves:
+        if len(half) != size or len(set(half)) != size:
+            return False
+    if set(first) & set(second):
+        return False
+    # pairwise projections: each pair of coordinates determines the third,
+    # and the two halves occupy identical shapes in all three views
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        pf = {(t[i], t[j]) for t in first}
+        pg = {(t[i], t[j]) for t in second}
+        if len(pf) != size or len(pg) != size or pf != pg:
+            return False
+    # k-homogeneity: every line in every direction carries exactly k cells
+    for half in halves:
+        for i in range(3):
+            counts = [0] * q
+            for t in half:
+                counts[t[i]] += 1
+            if any(c != k for c in counts):
+                return False
+    return True

@@ -13,7 +13,8 @@ from orthokit import (build_bitrade, build_field, complete_partial,
                       enumerate_orthomorphisms, even_char_theta, interpolate,
                       is_irregular, is_orthomorphism, linear_map,
                       map_table, max_degree_orthomorphism, pair_f125,
-                      reduced_poly, tabulate, translate, validate_homogeneous)
+                      prime_powers, reduced_poly, tabulate, translate,
+                      validate_homogeneous)
 
 from oracles import OracleField, all_orthomorphisms, cubic_root_count
 
@@ -21,23 +22,7 @@ SWEEP_LIMIT = 343
 SKIPPED_ORDERS = {2, 5, 8}
 
 
-def _prime_powers(limit):
-    sieve = list(range(limit + 1))
-    for i in range(2, int(limit ** 0.5) + 1):
-        if sieve[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if sieve[j] == j:
-                    sieve[j] = i
-    out = []
-    for p in (n for n in range(2, limit + 1) if sieve[n] == n):
-        q, r = p, 1
-        while q <= limit:
-            out.append((p, r, q))
-            q, r = q * p, r + 1
-    return sorted(out, key=lambda t: t[2])
-
-
-PRIME_POWERS = [(p, r, q) for p, r, q in _prime_powers(SWEEP_LIMIT)
+PRIME_POWERS = [(p, r, q) for p, r, q in prime_powers(SWEEP_LIMIT)
                 if q not in SKIPPED_ORDERS]
 
 
@@ -129,7 +114,8 @@ def test_criterion_05_bitrades(sweep):
         b = build_bitrade(pair.f, pair.g)
         assert b.k == 3, q
         assert len(b.first) == len(b.second) == 3 * q, q
-        assert not set(b.first) & set(b.second), q
+        assert not set(map(tuple, b.first.tolist())) & \
+            set(map(tuple, b.second.tolist())), q
         assert validate_homogeneous(b), q
     f5 = build_field(5, 1)
     b = build_bitrade(linear_map(f5, 2), linear_map(f5, 3))
@@ -197,7 +183,7 @@ def test_criterion_08_cubic_criterion():
 
 def test_criterion_09_property_suites():
     # interpolation round-trip on seeded random tables, every q <= 64
-    for p, r, q in _prime_powers(64):
+    for p, r, q in prime_powers(64):
         fs = build_field(p, r)
         rng = random.Random(q)
         for _ in range(3):
@@ -210,7 +196,7 @@ def test_criterion_09_property_suites():
             poly2 = reduced_poly(fs, coeffs)
             assert interpolate(tabulate(poly2)).coeffs == poly2.coeffs
     # translation closure, exhaustive over q <= 9
-    for p, r, q in _prime_powers(9):
+    for p, r, q in prime_powers(9):
         fs = build_field(p, r)
         for t in enumerate_orthomorphisms(fs):
             for g in range(q):

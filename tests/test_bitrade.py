@@ -1,16 +1,37 @@
-"""Bitrade assembly and the k-homogeneity validator."""
+"""Bitrade assembly, the k-homogeneity validator and the text renderer."""
 
+import json
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from orthokit import (PreconditionError, Triple, build_bitrade, distance3_pair,
-                      linear_map, validate_homogeneous)
+from orthokit import (Bitrade, PreconditionError, Triple, build_bitrade,
+                      distance3_pair, linear_map, prime_powers,
+                      validate_homogeneous)
+
+from oracles import is_homogeneous_bitrade
+
+#: Every order q <= 64 that has a distance-3 pair.
+PAIR_ORDERS = [(p, r) for p, r, q in prime_powers(64) if q not in (2, 5, 8)]
 
 
 def _pair_bitrade(field, p, r):
     pair = distance3_pair(field(p, r))
     return build_bitrade(pair.f, pair.g)
+
+
+def _tuples(half) -> set:
+    return set(map(tuple, half.tolist()))
+
+
+def _agree(b) -> bool:
+    """validate_homogeneous(b), after checking that the set-based oracle
+    gives the same answer."""
+    got = validate_homogeneous(b)
+    assert got == is_homogeneous_bitrade(b.field.q, b.k, b.first, b.second)
+    return got
 
 
 def test_triple_field_names():
@@ -29,9 +50,9 @@ def test_distance3_pairs_give_3_homogeneous_bitrades(field, p, r):
 
 def test_rows_enumerate_whole_field(field):
     b = _pair_bitrade(field, 7, 1)
-    assert {t.row for t in b.first} == set(range(7))
+    assert set(b.first[:, 0].tolist()) == set(range(7))
     # each disagreement point contributes one full diagonal of cells
-    assert sorted(t.row for t in b.first) == sorted(list(range(7)) * 3)
+    assert sorted(b.first[:, 0].tolist()) == sorted(list(range(7)) * 3)
 
 
 def test_triples_follow_map_translates(field):
@@ -45,7 +66,7 @@ def test_triples_follow_map_translates(field):
         for i in range(7):
             expected.add(Triple(i, fs.add(fs.sub(pair.f[j], j), i),
                                 fs.add(pair.f[j], i)))
-    assert set(b.first) == expected
+    assert _tuples(b.first) == expected
 
 
 def test_f5_linear_pair_gives_4_homogeneous_bitrade(field):
@@ -58,27 +79,50 @@ def test_f5_linear_pair_gives_4_homogeneous_bitrade(field):
 
 def test_halves_are_disjoint_and_share_shape(field):
     b = _pair_bitrade(field, 3, 2)
-    assert not set(b.first) & set(b.second)
-    assert {(t.row, t.col) for t in b.first} == {(t.row, t.col) for t in b.second}
+    assert not _tuples(b.first) & _tuples(b.second)
+    assert _tuples(b.first[:, :2]) == _tuples(b.second[:, :2])
 
 
 def test_validator_rejects_perturbations(field):
     b = _pair_bitrade(field, 7, 1)
-    assert validate_homogeneous(b)
+    assert _agree(b)
+    first, second = b.first, b.second
     # duplicate one triple (size preserved, set collapses)
-    broken = replace(b, first=b.first[:1] + b.first[:1] + b.first[2:])
-    assert not validate_homogeneous(broken)
+    broken = replace(b, first=np.concatenate([first[:1], first[:1], first[2:]]))
+    assert not _agree(broken)
     # leak a triple across halves: breaks disjointness
-    broken = replace(b, second=b.first[:1] + b.second[1:])
-    assert not validate_homogeneous(broken)
+    broken = replace(b, second=np.concatenate([first[:1], second[1:]]))
+    assert not _agree(broken)
     # rewrite one symbol: breaks the shared-shape projections
-    t0 = b.first[0]
-    swapped = Triple(t0.row, t0.col, (t0.sym + 1) % 7)
-    broken = replace(b, first=(swapped,) + b.first[1:])
-    assert not validate_homogeneous(broken)
+    row, col, sym = first[0].tolist()
+    swapped = np.array([[row, col, (sym + 1) % 7]])
+    broken = replace(b, first=np.concatenate([swapped, first[1:]]))
+    assert not _agree(broken)
     # wrong k
     broken = replace(b, k=2)
-    assert not validate_homogeneous(broken)
+    assert not _agree(broken)
+    # one half twice: every axiom but disjointness holds
+    assert not _agree(replace(b, second=first))
+
+
+def test_validator_rejects_two_symbols_in_one_cell(field):
+    # b together with its copy whose symbols are shifted by d: the counts
+    # double to 2k, the shapes still agree and the halves stay disjoint, but
+    # every cell now holds two symbols, so only injectivity fails
+    b = _pair_bitrade(field, 11, 1)
+    for d in range(1, 11):
+        moved = [h.copy() for h in (b.first, b.second)]
+        for h in moved:
+            h[:, 2] = (h[:, 2] + d) % 11
+        first = np.concatenate([b.first, moved[0]])
+        second = np.concatenate([b.second, moved[1]])
+        if not _tuples(first) & _tuples(second):
+            break
+    else:
+        pytest.fail("no shift keeps the doubled halves disjoint")
+    doubled = replace(b, k=2 * b.k, first=first, second=second)
+    assert all(len(_tuples(h)) == len(h) for h in (first, second))
+    assert not _agree(doubled)
 
 
 def test_build_bitrade_preconditions(field):
@@ -98,9 +142,102 @@ def test_serialization_wire_format(field):
     assert doc["k"] == 3
     assert len(doc["L1"]) == len(doc["L2"]) == 9
     assert all(len(row) == 3 for row in doc["L1"])
-    assert doc["L1"] == [list(t) for t in b.first]
-    csv = b.to_csv().splitlines()
+    assert doc["L1"] == b.first.tolist()
+    csv = b.render("csv").splitlines()
     assert len(csv) == 18
-    assert csv[0] == "L1,%d,%d,%d" % b.first[0]
+    assert csv[0] == "L1,%d,%d,%d" % tuple(b.first[0].tolist())
     assert csv[9].startswith("L2,")
     assert all(line.count(",") == 3 for line in csv)
+
+
+def test_halves_are_sorted_read_only_arrays(field):
+    b = _pair_bitrade(field, 3, 2)
+    for half in (b.first, b.second):
+        assert half.dtype == np.int64 and half.shape == (27, 3)
+        assert half.tolist() == sorted(half.tolist())
+        with pytest.raises(ValueError):
+            half[0, 0] = 1
+
+
+@pytest.mark.parametrize("p,r", PAIR_ORDERS)
+def test_validator_matches_oracle_on_pair_bitrades(field, p, r):
+    b = _pair_bitrade(field, p, r)
+    assert _agree(b)
+    # the halves swap roles in a bitrade
+    assert _agree(replace(b, first=b.second, second=b.first))
+
+
+def test_validator_matches_oracle_on_4_homogeneous_bitrade(field):
+    fs = field(5, 1)
+    assert _agree(build_bitrade(linear_map(fs, 2), linear_map(fs, 3)))
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (2, 2), (3, 2), (2, 4)])
+def test_validator_matches_oracle_on_random_edits(field, p, r):
+    b = _pair_bitrade(field, p, r)
+    q = b.field.q
+    rng = random.Random(q)
+    for _ in range(40):
+        halves = [b.first.copy(), b.second.copy()]
+        for _ in range(rng.randrange(1, 3)):
+            half = halves[rng.randrange(2)]
+            i, j = rng.randrange(len(half)), rng.randrange(3)
+            half[i, j] = (half[i, j] + rng.randrange(1, q)) % q
+        _agree(replace(b, first=halves[0], second=halves[1]))
+    # relabel the symbols of both halves by one permutation: still a bitrade
+    perm = np.array(rng.sample(range(q), q))
+    relabel = [h.copy() for h in (b.first, b.second)]
+    for h in relabel:
+        h[:, 2] = perm[h[:, 2]]
+    assert _agree(replace(b, first=relabel[0], second=relabel[1]))
+
+
+def test_validator_rejects_malformed_halves(field):
+    b = _pair_bitrade(field, 7, 1)
+    first = b.first
+    out_of_range = first.copy()
+    out_of_range[0, 1] = 7
+    # -1 in place of 6 throughout keeps every count: only a range check,
+    # not an index that wraps around, catches it
+    negative = [np.where(h == 6, -1, h) for h in (b.first, b.second)]
+    cases = [
+        replace(b, first=out_of_range),
+        replace(b, first=negative[0], second=negative[1]),
+        replace(b, first=first[:, :2]),
+        replace(b, first=np.hstack([first, first[:, :1]])),
+        replace(b, first=first.ravel()),
+        replace(b, first=first.T),
+        replace(b, first=first[:-1]),
+        replace(b, first=first.astype(float)),
+        replace(b, first=first.tolist()[:-1] + [[0, 1]]),
+        replace(b, k=0, first=first[:0], second=first[:0]),
+    ]
+    for case in cases:
+        assert not _agree(case)
+    # plain nested lists are accepted like arrays
+    assert _agree(replace(b, first=first.tolist(), second=tuple(
+        map(tuple, b.second.tolist()))))
+
+
+def _csv_lines(b) -> str:
+    lines = [f"L1,{row},{col},{sym}" for row, col, sym in b.first.tolist()]
+    lines += [f"L2,{row},{col},{sym}" for row, col, sym in b.second.tolist()]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("p,r", PAIR_ORDERS + [(2, 10)])
+def test_render_matches_json_encoder_and_csv_lines(field, p, r):
+    b = _pair_bitrade(field, p, r)
+    assert b.render("json", homogeneous=True) == json.dumps(
+        b.to_json() | {"homogeneous": True}, indent=2, sort_keys=True)
+    assert b.render() == json.dumps(b.to_json(), indent=2, sort_keys=True)
+    assert b.render("csv") == _csv_lines(b)
+
+
+def test_render_empty_halves(field):
+    empty = np.empty((0, 3), dtype=np.int64)
+    b = Bitrade(field(3, 1), 0, empty, empty)
+    assert b.render() == json.dumps(b.to_json(), indent=2, sort_keys=True)
+    assert b.render("csv") == ""
+    with pytest.raises(ValueError, match="format"):
+        b.render("xml")

@@ -169,6 +169,36 @@ def test_verify_refuses_fields_above_cap_at_once(capsys, tmp_path, p, r):
     assert f"capped at q = {VERIFY_CAP}" in doc["reason"]
 
 
+@pytest.mark.parametrize("command", ["field", "pair", "bitrade", "census",
+                                     "irregular"])
+@pytest.mark.parametrize("p,r", [(1000000000000000003, 1), (2, 10**9),
+                                 (1000000000000000003, 0)])
+def test_field_args_above_cap_exit_2_at_once(capsys, command, p, r):
+    # refused before p is tried for primality, which would take sqrt(p) steps
+    start = time.perf_counter()
+    code, doc = run_json(capsys, command, str(p), str(r))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and doc["error"] == "PreconditionError"
+
+
+def test_field_rejects_modulus_coefficients_out_of_range(capsys):
+    # -1 is not read as 1 mod 2: [1, 1, 1] would be the irreducible y^2+y+1
+    code, doc = run_json(capsys, "field", "2", "2", "--modulus", "1,-1,1")
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert "[0, 2)" in doc["reason"]
+    code, doc = run_json(capsys, "field", "2", "2", "--modulus", "3,1,1")
+    assert code == 2 and "[0, 2)" in doc["reason"]
+
+
+def test_verify_rejects_modulus_coefficients_out_of_range(capsys, tmp_path):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({"field": {"p": 2, "r": 2, "modulus": [3, -1, 1]},
+                                "values": [0, 2, 3, 1]}))
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert "[0, 2)" in doc["reason"]
+
+
 def test_verify_accepts_the_cap_order(capsys, tmp_path):
     # 2^16 itself is accepted: rejected here for its values, after the build
     path = tmp_path / "cap.json"
@@ -264,6 +294,24 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "internal assertion failed: wired for testing" in captured.err
     assert captured.out == ""
+
+
+def test_failed_bitrade_validation_exits_3_under_O(tmp_path):
+    import subprocess, sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import orthokit.cli as cli\n"
+        "assert sys.flags.optimize and False\n"  # stripped under -O
+        "cli.validate_homogeneous = lambda b: False\n"
+        "sys.exit(cli.main(['bitrade', '7', '1']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "constructed bitrade failed validation" in proc.stderr
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit import ORDER_CAP, PreconditionError, build_field, field_from_json
+from orthokit import (ORDER_CAP, PreconditionError, build_field, field_from_json,
+                      prime_powers)
 from orthokit.gf import is_prime
 
 from oracles import OracleField
@@ -256,6 +257,26 @@ def test_rejects_bad_inputs():
         build_field(7, 1, None, 0)
     with pytest.raises(PreconditionError):
         build_field(7, 1, None, 7)
+
+
+def test_rejects_modulus_coefficients_outside_the_prime_field():
+    # each would reduce mod p to an irreducible modulus
+    for mod in ((1, -1, 1), (3, 1, 1), (1, 1, 3)):
+        with pytest.raises(PreconditionError, match=r"\[0, 2\)"):
+            build_field(2, 2, mod)
+    with pytest.raises(PreconditionError, match="integers"):
+        build_field(2, 2, (1, 1.0, 1))
+    assert build_field(2, 2, (1, 1, 1)).modulus == (1, 1, 1)
+
+
+def test_prime_powers():
+    want = sorted(((p, r, p**r) for p in range(2, 344)
+                   if all(p % d for d in range(2, p))
+                   for r in range(1, 9) if p**r <= 343), key=lambda t: t[2])
+    assert prime_powers(343) == want
+    assert [q for _, _, q in prime_powers(16)] == [2, 3, 4, 5, 7, 8, 9, 11,
+                                                   13, 16]
+    assert prime_powers(1) == []
 
 
 def test_json_roundtrip(field):
