@@ -14,7 +14,7 @@ import sys
 
 from .bitrade import build_bitrade, validate_homogeneous
 from .census import census
-from .construct import distance3_pair, even_char_theta, max_degree_orthomorphism
+from .construct import distance3_pair, even_irregular_witness, max_degree_orthomorphism
 from .errors import PreconditionError, SearchExhaustedError
 from .gf import FieldSpec, build_field, field_from_json, json_int
 from .ortho import (cyclotomic_profile, is_irregular, is_orthomorphism,
@@ -140,20 +140,12 @@ def cmd_irregular(args) -> dict:
     fs = _build_from_args(args)
     q = fs.q
     if fs.p == 2 and q > 4:
-        # multiply-by-a with one shifted 4-block; scan (a, c) ascending for
-        # the first witness that survives the brute-force check
-        for a in range(2, q):
-            for c in range(1, q):
-                if c in (1, a, a ^ 1):
-                    continue
-                t = even_char_theta(fs, a, c)
-                if is_irregular(t):
-                    payload = t.to_json()
-                    payload["branch"] = "even-theta"
-                    payload["params"] = {"a": a, "c": c}
-                    payload["irregular"] = True
-                    return payload
-        raise AssertionError(f"even-q scan found no irregular witness for q={q}")
+        a, c, t = even_irregular_witness(fs)
+        payload = t.to_json()
+        payload["branch"] = "even-theta"
+        payload["params"] = {"a": a, "c": c}
+        payload["irregular"] = True
+        return payload
     if q > 7 and q % 3 != 1:
         poly = max_degree_orthomorphism(fs, seed=args.seed)
         t = tabulate(poly)

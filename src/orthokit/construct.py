@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
 from .gf import FieldSpec, build_field, is_prime
-from .ortho import MapTable, is_orthomorphism, linear_map
+from .ortho import MapTable, is_irregular, is_orthomorphism, linear_map
 from .polyops import hamming_distance, interpolate, ReducedPoly
 
 NON25 = "NON25"
@@ -318,6 +318,21 @@ def even_char_theta(spec: FieldSpec, a: int, c: int) -> MapTable:
     t = MapTable(spec, tuple(vals))
     assert t[0] == 0 and is_orthomorphism(t)
     return t
+
+
+def even_irregular_witness(spec: FieldSpec) -> tuple[int, int, MapTable]:
+    """The first irregular even_char_theta(spec, a, c) of even q >= 8, with
+    its (a, c), scanning a ascending and then c ascending."""
+    if spec.p != 2 or spec.q < 8:
+        raise PreconditionError("theta_a needs even q >= 8")
+    for a in range(2, spec.q):
+        for c in range(1, spec.q):
+            if c in (1, a, a ^ 1):
+                continue
+            t = even_char_theta(spec, a, c)
+            if is_irregular(t):
+                return a, c, t
+    raise AssertionError(f"even-q scan found no irregular witness for q={spec.q}")
 
 
 def pair_even_odd_power(spec: FieldSpec) -> OrthoPair:

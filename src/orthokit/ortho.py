@@ -137,6 +137,18 @@ def cyclotomic_profile(t: MapTable) -> CyclotomicProfile:
     return CyclotomicProfile(n, tuple(ratios[:n].tolist()))
 
 
+def _period_checks(fs: FieldSpec) -> list[tuple[int, np.ndarray]]:
+    """(d, x -> gamma^d * x) for each maximal proper period d = (q - 1) / prime.
+
+    A map T fixing 0 is cyclotomic of index d iff T(gamma^(k + d)) ==
+    gamma^d * T(gamma^k) for every k, and a proper index fits iff one of
+    these maximal ones does."""
+    q1 = fs.q - 1
+    codes = np.arange(fs.q, dtype=np.int64)
+    return [(d, fs.mul_array(codes, fs.exp_array[d]))
+            for d in (q1 // ell for ell in distinct_prime_factors(q1))]
+
+
 def is_irregular(t: MapTable) -> bool:
     """True when no translation of t is cyclotomic of any proper index."""
     if not is_orthomorphism(t):
@@ -144,12 +156,8 @@ def is_irregular(t: MapTable) -> bool:
     fs = t.field
     q, q1 = fs.q, fs.q - 1
     exp = fs.exp_array
-    # T_g is cyclotomic of index d iff T_g(gamma^(k + d)) == gamma^d *
-    # T_g(gamma^k) for every k; a proper index fits iff one of the maximal
-    # ones, (q - 1) / prime, does.  scale[i][x] == gamma^d * x for period i.
-    periods = [q1 // ell for ell in distinct_prime_factors(q1)]
+    checks = _period_checks(fs)
     codes = np.arange(q, dtype=np.int64)
-    scale = [fs.mul_array(codes, exp[d]) for d in periods]
     v = _array(t)
     # translations g in blocks of 1, 2, 4, ... rows up to CHUNK elements, so
     # a map whose first translations are cyclotomic stops after little work
@@ -157,7 +165,7 @@ def is_irregular(t: MapTable) -> bool:
     while lo < q:
         g = codes[lo:lo + rows, None]
         tg = fs.sub_array(v[fs.add_array(exp, g)], v[g])  # T_g(gamma^k)
-        for d, times in zip(periods, scale):
+        for d, times in checks:
             if (tg[:, d:] == times[tg[:, :-d]]).all(axis=1).any():
                 return False
         lo += rows

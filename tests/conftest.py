@@ -1,15 +1,8 @@
-import os
 from functools import lru_cache
 
 import pytest
 
 from orthokit import build_field
-
-#: set ORTHOKIT_XL=1 to enable the extra-large runs (q = 3125 construction,
-#: q = 13 census); everything else runs by default.
-XL = os.environ.get("ORTHOKIT_XL") == "1"
-
-xl_only = pytest.mark.skipif(not XL, reason="set ORTHOKIT_XL=1 to enable")
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,27 @@
 """Exhaustive small-field censuses checked against frozen totals and the
 permutation-filter oracle."""
 
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthokit import (PreconditionError, census, enumerate_orthomorphisms,
-                      irregular_fraction, interpolate)
-from orthokit.census import (_degree_histogram, _irregular_count,
-                             _min_pairwise_distance, _value_tuples)
+from orthokit import (MapTable, PreconditionError, census,
+                      enumerate_orthomorphisms, irregular_fraction,
+                      interpolate, is_irregular)
+from orthokit.census import (CensusReport, _degree_histogram,
+                             _irregular_count, _min_pairwise_distance,
+                             _normalized, _value_tuples)
 
-from conftest import xl_only
-from oracles import OracleField, all_orthomorphisms
+from oracles import (OracleField, all_orthomorphisms, is_irregular_table,
+                     lagrange_interpolate, poly_degree)
+
+#: Every prime power q <= 9: prime, 2^r and odd-extension fields.
+SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 # Frozen census results.  Totals factor as q times the zero-fixing counts
 # because translation by theta(1-t) freely moves theta(0) over the field.
@@ -66,7 +75,7 @@ def test_census_gf11(field):
     assert irregular_fraction(field(11, 1), report=rep) == Fraction(880, 1147)
 
 
-@xl_only
+@pytest.mark.slow
 def test_census_gf13(field):
     rep = census(field(13, 1), jobs=4)
     assert rep.total == FROZEN_13["total"]
@@ -76,7 +85,14 @@ def test_census_gf13(field):
     assert rep.non_irregular_bound == FROZEN_13["bound"]
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (7, 1), (2, 3)])
+def _shifts(fs, tables):
+    """Every t + c for t a row of tables, as value tuples."""
+    return [tuple(fs.add(v, c) for v in t) for t in tables.tolist()
+            for c in range(fs.q)]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3)])
 def test_census_total_matches_permutation_filter(field, p, r):
     fs = field(p, r)
     of = OracleField(p, r, fs.modulus)
@@ -84,6 +100,10 @@ def test_census_total_matches_permutation_filter(field, p, r):
     mine = {t.values for t in enumerate_orthomorphisms(fs)}
     assert mine == oracle_set
     assert len(mine) == FROZEN[(p, r)]["total"]
+    # the normalized walk times q is the whole set, each map once
+    shifted = _shifts(fs, _normalized(fs, 1))
+    assert len(shifted) == len(set(shifted)) == len(oracle_set)
+    assert set(shifted) == oracle_set
 
 
 @pytest.mark.slow
@@ -100,8 +120,11 @@ def test_gf3_members_in_lex_order(field):
 
 
 def test_enumeration_is_lexicographic(field):
-    tables = [t.values for t in enumerate_orthomorphisms(field(7, 1))]
-    assert tables == sorted(tables)
+    # adding c reorders an extension field's codes, so each shift is sorted
+    for p, r in ((7, 1), (2, 3), (3, 2)):
+        fs = field(p, r)
+        tables = [t.values for t in enumerate_orthomorphisms(fs)]
+        assert tables == sorted(set(_shifts(fs, _normalized(fs, 1))))
 
 
 def test_enumeration_cap(field):
@@ -118,36 +141,102 @@ def test_parallel_census_matches_serial(field):
     assert census(fs, jobs=2) == census(fs, jobs=1)
 
 
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    maps in-process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+@pytest.mark.parametrize("p,r,jobs,cpus,size", [
+    (7, 1, 10**9, 64, 5),     # clamped to the q - 2 partitions on t(1)
+    (7, 1, 3, 64, 3),
+    (7, 1, 10**9, 2, 2),      # clamped to the cpu count
+    (2, 3, 4, None, None),    # cpu count unknown: in-process
+    (7, 1, 1, 64, None),
+    (3, 1, 10**9, 64, None),  # a single partition: in-process
+    (2, 1, 10**9, 64, None),  # no partition at all
+])
+def test_jobs_pool_is_clamped(field, monkeypatch, p, r, jobs, cpus, size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr("multiprocessing.Pool", _RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    fs = field(p, r)
+    rep = census(fs, jobs=jobs)
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+    assert rep.total == FROZEN[(p, r)]["total"]
+    assert rep == census(fs)
+
+
 def test_pin1_partition_is_a_partition(field):
-    fs = field(5, 1)
-    whole = sorted(_value_tuples(fs))
-    parts = []
-    for v in range(5):
-        parts.extend(_value_tuples(fs, pin1=v))
-    assert sorted(parts) == whole
+    # with t(0) = 0, t(1) is neither 0 nor 1: the pins 2..q-1 split the walk
+    # into consecutive runs of its lexicographic order, and 0 and 1 pin none
+    for p, r in ((5, 1), (7, 1), (2, 3), (3, 2)):
+        fs = field(p, r)
+        whole = _value_tuples(fs)
+        assert all(t[0] == 0 for t in whole)
+        assert _value_tuples(fs, pin1=0) == _value_tuples(fs, pin1=1) == []
+        parts = []
+        for v in range(2, fs.q):
+            part = _value_tuples(fs, pin1=v)
+            assert all(t[1] == v for t in part)
+            parts.extend(part)
+        assert parts == whole
+        assert len(whole) * fs.q == FROZEN[(p, r)]["total"]
 
 
-def test_degree_histogram_numpy_matches_scalar(field):
-    fs = field(7, 1)
-    tables = list(_value_tuples(fs))
-    assert (_degree_histogram(fs, tables, use_numpy=True)
-            == _degree_histogram(fs, tables, use_numpy=False)
-            == FROZEN[(7, 1)]["hist"])
+def _oracle_degree_histogram(of, tables):
+    return dict(Counter(poly_degree(lagrange_interpolate(of, t))
+                        for t in tables))
 
 
-def test_irregular_count_numpy_matches_scalar(field):
-    fs = field(7, 1)
-    tables = list(_value_tuples(fs))
-    assert (_irregular_count(fs, tables, use_numpy=True)
-            == _irregular_count(fs, tables, use_numpy=False) == 0)
+@pytest.mark.parametrize("p,r", SMALL)
+def test_batched_stages_match_per_map_and_oracles(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    tables = _normalized(fs, 1)
+    maps = [MapTable(fs, tuple(t)) for t in tables.tolist()]
+    hist = _degree_histogram(fs, tables)
+    assert hist == dict(Counter(interpolate(t).degree for t in maps))
+    assert hist == _oracle_degree_histogram(of, tables.tolist())
+    irregular = _irregular_count(fs, tables)
+    assert irregular == sum(is_irregular(t) for t in maps)
+    assert irregular == sum(is_irregular_table(of, t) for t in tables.tolist())
+    if fs.q <= 8:
+        # scaled by q, the stages give the counts on the whole oracle set
+        full = all_orthomorphisms(of)
+        assert {d: fs.q * k for d, k in hist.items()} == \
+            dict(Counter(interpolate(MapTable(fs, t)).degree for t in full))
+        assert fs.q * irregular == sum(is_irregular_table(of, t) for t in full)
 
 
 @pytest.mark.slow
-def test_irregular_count_numpy_matches_scalar_gf11_sample(field):
+def test_batched_stages_match_per_map_and_oracles_gf11_sample(field):
     fs = field(11, 1)
-    tables = list(_value_tuples(fs))[:2000]
-    assert (_irregular_count(fs, tables, use_numpy=True)
-            == _irregular_count(fs, tables, use_numpy=False))
+    of = OracleField(11, 1, fs.modulus)
+    tables = _normalized(fs, 1)[::7]
+    rows = tables.tolist()
+    maps = [MapTable(fs, tuple(t)) for t in rows]
+    hist = _degree_histogram(fs, tables)
+    assert hist == dict(Counter(interpolate(t).degree for t in maps))
+    assert _degree_histogram(fs, tables[::4]) == \
+        _oracle_degree_histogram(of, rows[::4])
+    flags = [is_irregular(t) for t in maps]
+    assert 0 < sum(flags) < len(flags)
+    assert _irregular_count(fs, tables) == sum(flags)
+    assert flags[::4] == [is_irregular_table(of, t) for t in rows[::4]]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -164,7 +253,7 @@ def test_enumerated_degree_and_distance_properties(field, p, r):
     full_min = _full_min_distance(tables)
     assert full_min >= 3
     assert full_min == FROZEN[(p, r)]["mind"]
-    assert full_min == _min_pairwise_distance(q, tables)
+    assert full_min == _min_pairwise_distance(fs, _normalized(fs, 1))
 
 
 def _enumerate_cached(fs, _cache={}):
@@ -174,9 +263,43 @@ def _enumerate_cached(fs, _cache={}):
 
 
 def test_min_distance_degenerate_cases(field):
-    assert _min_pairwise_distance(2, []) is None
-    assert _min_pairwise_distance(3, [(0, 2, 1)]) is None
-    assert _min_pairwise_distance(3, [(0, 2, 1), (1, 0, 2)]) == 3
+    # no map at all; one map, whose shifts t + c differ from it everywhere;
+    # two maps whose best shift beats the q of their own shifts
+    assert _min_pairwise_distance(field(2, 1), np.zeros((0, 2), np.int64)) is None
+    assert _min_pairwise_distance(field(3, 1), np.array([[0, 2, 1]])) == 3
+    assert _min_pairwise_distance(field(5, 1), np.array([[0, 2, 4, 1, 3]])) == 5
+    assert _min_pairwise_distance(
+        field(5, 1), np.array([[0, 2, 4, 1, 3], [0, 3, 1, 4, 2]])) == 4
+
+
+def test_irregular_fraction_ceiling_is_checked(field):
+    # 4 * regular^2 <= 7^11 allows at most 22,233 non-irregular maps
+    rep = CensusReport(q=7, total=22234, degree_histogram={},
+                       min_pairwise_distance=3, irregular_count=0,
+                       non_irregular_bound=22233)
+    with pytest.raises(AssertionError, match="ceiling"):
+        irregular_fraction(field(7, 1), report=rep)
+    ok = CensusReport(q=7, total=22233, degree_histogram={},
+                      min_pairwise_distance=3, irregular_count=0,
+                      non_irregular_bound=22233)
+    assert irregular_fraction(field(7, 1), report=ok) == 0
+
+
+def test_irregular_fraction_ceiling_survives_optimize(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from orthokit import build_field, irregular_fraction\n"
+            "from orthokit.census import CensusReport\n"
+            "assert sys.flags.optimize and False\n"  # stripped under -O
+            "rep = CensusReport(7, 22234, {}, 3, 0, 22233)\n"
+            "try:\n"
+            "    irregular_fraction(build_field(7, 1), report=rep)\n"
+            "except AssertionError:\n"
+            "    sys.exit(3)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_irregular_fraction_small(field):

@@ -6,7 +6,7 @@ import pytest
 from orthokit import (MapTable, NonexistenceError, PreconditionError,
                       SearchExhaustedError, complete_partial,
                       cubic_unique_root, distance3_pair, even_char_theta,
-                      hamming_distance, interpolate, is_orthomorphism,
+                      even_irregular_witness, hamming_distance, interpolate, is_orthomorphism,
                       lift_subfield_pair, linear_map, map_table,
                       max_degree_orthomorphism, near_linear_pair,
                       pair_even_odd_power, pair_f125, small_prime_pair,
@@ -14,7 +14,7 @@ from orthokit import (MapTable, NonexistenceError, PreconditionError,
 from orthokit.gf import build_field
 
 from oracles import (OracleField, all_orthomorphisms, cubic_root_count,
-                     near_linear_first_hit)
+                     is_irregular_table, near_linear_first_hit)
 
 # Pin triples (z, k, e) over GF(7) that no orthomorphism attains even though
 # they clear every local precondition; derived by filtering all 19
@@ -261,6 +261,27 @@ def test_even_char_theta_preconditions(field):
         even_char_theta(fs, 1, 4)
     with pytest.raises(PreconditionError, match="c must"):
         even_char_theta(fs, 2, 3)  # c = a + 1
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7,
+                               pytest.param(8, marks=pytest.mark.slow)])
+def test_even_irregular_witness_against_oracle(field, r):
+    fs = field(2, r)
+    of = OracleField(2, r, fs.modulus)
+    a, c, t = even_irregular_witness(fs)
+    assert t == even_char_theta(fs, a, c)
+    assert is_irregular_table(of, t.values)
+    # it is the first irregular theta_a in the scan order, a then c
+    earlier = [(a2, c2) for a2 in range(2, a + 1) for c2 in range(1, fs.q)
+               if c2 not in (1, a2, a2 ^ 1) and (a2, c2) < (a, c)]
+    assert not any(is_irregular_table(of, even_char_theta(fs, *ac).values)
+                   for ac in earlier)
+
+
+def test_even_irregular_witness_preconditions(field):
+    for p, r in ((7, 1), (2, 2), (3, 2)):
+        with pytest.raises(PreconditionError, match="even q >= 8"):
+            even_irregular_witness(field(p, r))
 
 
 # ---------------------------------------------------------------- odd 2^r
