@@ -202,6 +202,23 @@ def _oracle_degree_histogram(of, tables):
                         for t in tables))
 
 
+def test_degree_histogram_numpy_matches_scalar(field):
+    fs = field(7, 1)
+    tables = _normalized(fs, 1)
+    hist = _degree_histogram(fs, tables)
+    maps = [MapTable(fs, tuple(t)) for t in tables.tolist()]
+    assert hist == dict(Counter(interpolate(t).degree for t in maps))
+    assert {d: fs.q * k for d, k in hist.items()} == FROZEN[(7, 1)]["hist"]
+
+
+def test_irregular_count_numpy_matches_scalar(field):
+    fs = field(7, 1)
+    tables = _normalized(fs, 1)
+    maps = [MapTable(fs, tuple(t)) for t in tables.tolist()]
+    assert (_irregular_count(fs, tables)
+            == sum(is_irregular(t) for t in maps) == 0)
+
+
 @pytest.mark.parametrize("p,r", SMALL)
 def test_batched_stages_match_per_map_and_oracles(field, p, r):
     fs = field(p, r)
