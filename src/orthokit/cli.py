@@ -149,7 +149,8 @@ def cmd_irregular(args) -> dict:
     if q > 7 and q % 3 != 1:
         poly = max_degree_orthomorphism(fs, seed=args.seed)
         t = tabulate(poly)
-        assert is_irregular(t), "maximal-degree orthomorphism is not irregular"
+        if not is_irregular(t):
+            raise AssertionError("maximal-degree orthomorphism is not irregular")
         payload = t.to_json()
         payload["branch"] = "max-degree"
         payload["degree"] = poly.degree

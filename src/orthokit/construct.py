@@ -13,9 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
-from .gf import FieldSpec, build_field, is_prime
-from .ortho import MapTable, is_irregular, is_orthomorphism, linear_map
+from .gf import CHUNK, FieldSpec, build_field, is_prime
+from .ortho import MapTable, is_irregular, is_orthomorphism, linear_map, scaled_map
 from .polyops import hamming_distance, interpolate, ReducedPoly
 
 NON25 = "NON25"
@@ -46,11 +48,13 @@ class OrthoPair:
 
 
 def _verified_pair(f: MapTable, g: MapTable, provenance: str) -> OrthoPair:
-    assert f.field.same_as(g.field), "pair members live over different fields"
-    assert is_orthomorphism(f) and is_orthomorphism(g), \
-        f"construction {provenance} produced a non-orthomorphism"
+    if not f.field.same_as(g.field):
+        raise AssertionError("pair members live over different fields")
+    if not (is_orthomorphism(f) and is_orthomorphism(g)):
+        raise AssertionError(f"construction {provenance} produced a non-orthomorphism")
     d = hamming_distance(f, g)
-    assert d == 3, f"construction {provenance} produced distance {d}, not 3"
+    if d != 3:
+        raise AssertionError(f"construction {provenance} produced distance {d}, not 3")
     return OrthoPair(f=f, g=g, distance=3, provenance=provenance)
 
 
@@ -81,7 +85,8 @@ def swap_distance3(theta: MapTable, b: int, c: int) -> MapTable:
     vals[c] = c
     vals[b] = 0
     phi = MapTable(fs, tuple(vals))
-    assert is_orthomorphism(phi) and hamming_distance(theta, phi) == 3
+    if not (is_orthomorphism(phi) and hamming_distance(theta, phi) == 3):
+        raise AssertionError("swap did not give an orthomorphism at distance 3")
     return phi
 
 
@@ -102,17 +107,16 @@ def lift_subfield_pair(spec: FieldSpec, phi: MapTable, theta: MapTable) -> Ortho
         raise PreconditionError("subfield pair must be at Hamming distance 3")
     # Prime-subfield elements are exactly the codes below p, and their
     # arithmetic agrees with Z_p, so the small tables transfer verbatim.
-    f = tuple(phi.values[x] if x < p else spec.mul(2, x) for x in range(spec.q))
-    g = tuple(theta.values[x] if x < p else spec.mul(2, x) for x in range(spec.q))
-    return _verified_pair(MapTable(spec, f), MapTable(spec, g), NON25)
+    doubled = linear_map(spec, 2).values[p:]
+    f = MapTable(spec, phi.values + doubled)
+    g = MapTable(spec, theta.values + doubled)
+    return _verified_pair(f, g, NON25)
 
 
 def _near_linear_table(fs: FieldSpec, k: int, a0: int, a1: int) -> MapTable:
-    vals = [0] * fs.q
-    for t in range(fs.q - 1):
-        x = fs.exp_table[t]
-        vals[x] = fs.mul(a0 if t % k == 0 else a1, x)
-    return MapTable(fs, tuple(vals))
+    """x -> a0 * x on the powers gamma^t with k | t, x -> a1 * x elsewhere."""
+    log = fs.log_table
+    return scaled_map(fs, np.where(fs.log_array[1:] % k == 0, log[a0], log[a1]))
 
 
 def near_linear_pair(spec: FieldSpec) -> OrthoPair:
@@ -121,125 +125,121 @@ def near_linear_pair(spec: FieldSpec) -> OrthoPair:
 
     The scan runs over (a0, a1) in ascending code order.  Candidate a1 for a
     given a0 must keep both value partitions intact, which pins a1 to the
-    coset a0 * {1, w, w^2} and (a1 - 1) to (a0 - 1) * {1, w, w^2}; each
-    survivor is still verified in full before it is accepted.
+    coset a0 * {1, w, w^2} and (a1 - 1) to (a0 - 1) * {1, w, w^2}, the
+    subgroup {1, w, w^2} being the powers gamma^t with k | t; array passes
+    over blocks of a0 apply both, and each survivor is still verified in
+    full before it is accepted.
     """
     q = spec.q
     if q <= 1 or q % 3 != 1:
         raise PreconditionError(f"q={q} is not congruent to 1 mod 3")
     k = (q - 1) // 3
-    w1 = spec.exp_table[k]
-    w2 = spec.exp_table[2 * k]
-    subgroup = (1, w1, w2)
-    for a0 in range(2, q):
-        inv_a0m1 = spec.inv(spec.sub(a0, 1))
-        for a1 in sorted((spec.mul(a0, w1), spec.mul(a0, w2))):
-            if a1 < 2:
-                continue
-            if spec.mul(spec.sub(a1, 1), inv_a0m1) not in subgroup:
-                continue
-            f = _near_linear_table(spec, k, a0, a1)
-            if not is_orthomorphism(f):
-                continue
-            return _verified_pair(f, linear_map(spec, a1), ONE_MOD3)
+    w = spec.exp_array[[k, 2 * k]]
+    log = spec.log_array
+    for lo in range(2, q, CHUNK):
+        a0 = np.arange(lo, min(lo + CHUNK, q), dtype=np.int64)
+        a1 = np.sort(spec.mul_array(a0[:, None], w), axis=1)
+        coset = (log[spec.sub_array(a1, 1)] - log[spec.sub_array(a0, 1)][:, None]) % k == 0
+        for i, j in zip(*((a1 >= 2) & coset).nonzero()):  # a0, then a1 ascending
+            f = _near_linear_table(spec, k, int(a0[i]), int(a1[i, j]))
+            if is_orthomorphism(f):
+                return _verified_pair(f, linear_map(spec, int(a1[i, j])), ONE_MOD3)
     raise SearchExhaustedError(f"no near-linear orthomorphism found for q={q}")
 
 
-def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: int, free_d: int,
-                   open_pos: list[int], order: list[int], budget: int):
+#: Candidate values listed per scan of the value order; a search frame
+#: holds at most this many, so the stack stays O(q) in size.
+_BATCH = 8
+
+
+def _feasible_counts(spec: FieldSpec, free_v: np.ndarray, free_d: np.ndarray,
+                     pos: np.ndarray) -> np.ndarray:
+    """For each position x in pos, the number of free values v whose
+    difference v - x is free; O(q^2) work in blocks of about CHUNK."""
+    vals = np.flatnonzero(free_v)
+    rows = max(1, CHUNK // max(1, len(vals)))
+    out = np.empty(len(pos), dtype=np.int64)
+    for i in range(0, len(pos), rows):
+        out[i:i + rows] = free_d[spec.sub_array(vals, pos[i:i + rows, None])].sum(axis=1)
+    return out
+
+
+def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
+                   free_d: np.ndarray, open_pos: list[int], order: list[int],
+                   budget: int):
     """Depth-first completion, always branching on a most-constrained open
     position.
 
-    free_v and free_d are bitmasks of unused values and unused differences;
-    count[x] is the number of values still feasible at open position x and
-    is maintained incrementally on both assignment and undo.  Returns a
-    filled table, None when the node budget ran out, or the string
-    "infeasible" when the whole space was exhausted within budget.
+    free_v and free_d are bool arrays of unused values and unused
+    differences, updated in place.  The open positions fill the first n
+    slots of pos, in the order they were opened (open_pos order, a reopened
+    position going to the end), and cnt holds the number of values still
+    feasible at each.  So argmin picks the most constrained position, ties
+    going to the earliest, and each assignment or undo updates the counts
+    of all open positions in one array step.  The values feasible at a
+    chosen position come from a masked scan of `order`, a batch at a time;
+    an undo restores the masks a batch was listed under, so the rest of the
+    batch stays valid.  Returns a filled table, None when the node budget
+    ran out, or the string "infeasible" when the whole space was exhausted
+    within budget.
     """
-    q = spec.q
-    prime = spec.r == 1
-    add, sub = spec.add, spec.sub
-    full = (1 << q) - 1
-    count = {}
-    if prime:
-        for x in open_pos:
-            # feasible values at x are free_v intersected with free_d
-            # rotated by x, since v = d + x works modulo the prime
-            shifted = ((free_d << x) | (free_d >> (q - x))) & full
-            count[x] = (free_v & shifted).bit_count()
-    else:
-        for x in open_pos:
-            c = 0
-            vm = free_v
-            while vm:
-                vb = vm & -vm
-                if (free_d >> sub(vb.bit_length() - 1, x)) & 1:
-                    c += 1
-                vm ^= vb
-            count[x] = c
-
-    remaining = open_pos[:]
-    frames: list[tuple[int, int, int, int, int]] = []  # (x0, j, v0, d0, saved count)
+    sub, add = spec.sub_array, spec.add_array
+    n = len(open_pos)
+    pos = np.array(open_pos, dtype=np.int64)
+    cnt = _feasible_counts(spec, free_v, free_d, pos)
+    order = np.asarray(order, dtype=np.int64)
+    end = len(order)
+    # (x0, count, cands, i, j, v0, d0): x0 took v0 = cands[i - 1], and the
+    # scan of order for x0 resumes at j
+    frames: list[tuple[int, int, list[int], int, int, int, int]] = []
     nodes = 0
 
-    def next_value(x0: int, j: int) -> tuple[int, int, int]:
-        # first order[j'], j' >= j, compatible at x0 under current masks
-        while j < q:
-            v = order[j]
-            j += 1
-            if (free_v >> v) & 1:
-                d = (v - x0) % q if prime else sub(v, x0)
-                if (free_d >> d) & 1:
-                    return v, d, j
-        return -1, -1, j
+    def candidates(x0: int, j: int) -> tuple[list[int], int]:
+        tail = order[j:]
+        hit = (free_v[tail] & free_d[sub(tail, x0)]).nonzero()[0][:_BATCH]
+        return tail[hit].tolist(), end if len(hit) < _BATCH else j + int(hit[-1]) + 1
 
-    while True:
-        if not remaining:
-            return theta
-        best = -1
-        best_c = q + 1
-        for x in remaining:
-            c = count[x]
-            if c < best_c:
-                best, best_c = x, c
-        x0, j = best, 0
+    def lost(v0: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
+        # v0 at x0 (difference d0) takes from each other open x the value
+        # v0 and the value x + d0, each if it was feasible there; neither
+        # test reads the mask bits of v0 or d0, since x != x0
+        return free_d[sub(v0, pos[:n])], free_v[add(pos[:n], d0)]
+
+    while n:
+        s = int(cnt[:n].argmin())
+        x0, c0 = int(pos[s]), int(cnt[s])
+        cands, i, j = [], 0, 0 if c0 else end
         while True:
-            v0, d0, j = (-1, -1, q) if best_c == 0 else next_value(x0, j)
-            if v0 >= 0:
-                nodes += 1
-                if nodes > budget:
-                    return None
-                theta[x0] = v0
-                remaining.remove(x0)
-                saved = count.pop(x0)
-                for x in remaining:
-                    d = (v0 - x) % q if prime else sub(v0, x)
-                    if (free_d >> d) & 1:
-                        count[x] -= 1
-                    vx = (x + d0) % q if prime else add(x, d0)
-                    if vx != v0 and (free_v >> vx) & 1:
-                        count[x] -= 1
-                free_v &= ~(1 << v0)
-                free_d &= ~(1 << d0)
-                frames.append((x0, j, v0, d0, saved))
+            if i == len(cands) and j < end:
+                cands, j = candidates(x0, j)
+                i = 0
+            if i < len(cands):
                 break
             if not frames:
                 return "infeasible"
             # undo the parent assignment and resume its value scan
-            x0, j, v0, d0, saved = frames.pop()
-            free_v |= 1 << v0
-            free_d |= 1 << d0
-            for x in remaining:
-                d = (v0 - x) % q if prime else sub(v0, x)
-                if (free_d >> d) & 1:
-                    count[x] += 1
-                vx = (x + d0) % q if prime else add(x, d0)
-                if vx != v0 and (free_v >> vx) & 1:
-                    count[x] += 1
+            x0, c0, cands, i, j, v0, d0 = frames.pop()
+            free_v[v0] = free_d[d0] = True
+            for back in lost(v0, d0):
+                cnt[:n] += back
             theta[x0] = -1
-            remaining.append(x0)
-            count[x0] = saved
-            best_c = saved
+            s = n
+            pos[s], cnt[s] = x0, c0
+            n += 1
+        nodes += 1
+        if nodes > budget:
+            return None
+        v0 = cands[i]
+        d0 = spec.sub(v0, x0)
+        theta[x0] = v0
+        n -= 1
+        pos[s:n] = pos[s + 1:n + 1]
+        cnt[s:n] = cnt[s + 1:n + 1]
+        free_v[v0] = free_d[d0] = False
+        for gone in lost(v0, d0):
+            cnt[:n] -= gone
+        frames.append((x0, c0, cands, i + 1, j, v0, d0))
+    return theta
 
 
 def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
@@ -263,10 +263,10 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
     if not 0 <= e < q or e in banned:
         raise PreconditionError("e must be a field element outside {0, z, k, k+z-1}")
 
-    sub = spec.sub
-    full = (1 << q) - 1
-    free_v = full & ~(1 | (1 << z) | (1 << e))
-    free_d = full & ~(1 | (1 << sub(z, 1)) | (1 << sub(e, k)))
+    free_v = np.ones(q, dtype=bool)
+    free_v[[0, z, e]] = False
+    free_d = np.ones(q, dtype=bool)
+    free_d[[0, spec.sub(z, 1), spec.sub(e, k)]] = False
     open_pos = [x for x in range(2, q) if x != k]
     budget = max(1000, _NODE_BUDGET_FACTOR * len(open_pos))
     rng = random.Random(f"{seed}:{q}:{z}:{k}:{e}")
@@ -279,12 +279,15 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
         theta[0] = 0
         theta[1] = z
         theta[k] = e
-        done = _mrv_backtrack(spec, theta, free_v, free_d, open_pos, order, budget)
+        done = _mrv_backtrack(spec, theta, free_v.copy(), free_d.copy(),
+                              open_pos, order, budget)
         if done == "infeasible":
             break  # the whole space was explored: no restart can help
         if done is not None:
             t = MapTable(spec, tuple(done))
-            assert is_orthomorphism(t)
+            if not is_orthomorphism(t):
+                raise AssertionError(
+                    f"completion over GF({q}) produced a non-orthomorphism")
             return t
     raise SearchExhaustedError(
         f"no orthomorphism of GF({q}) completes theta(0)=0, theta(1)={z}, theta({k})={e}")

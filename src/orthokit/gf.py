@@ -41,6 +41,10 @@ from .errors import PreconditionError
 #: Largest supported field order; every table here is Theta(q) ints.
 ORDER_CAP = 2**20
 
+#: Powers of gamma that build_field computes one product at a time before
+#: it doubles: numpy's per-call cost outweighs the doubling below this.
+_SCALAR_POWERS = 32
+
 #: Elements per 2-D temporary in the array kernels: large enough to amortise
 #: numpy's per-call overhead, small enough to stay in cache and add about a
 #: megabyte of peak memory.
@@ -131,7 +135,8 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
-    for m in range(p**r):
+    # every m below p^(r-1) gives constant term 0, a multiple of y
+    for m in range(p**(r - 1), p**r):
         digs = _low_digits(m, p, r)
         digs.reverse()  # slowest-varying digit of m becomes the constant term
         f = digs + [1]
@@ -187,6 +192,33 @@ def _raw_pow(a: int, e: int, p: int, r: int, modulus: Sequence[int]) -> int:
         base = _raw_mul(base, base, p, r, modulus)
         e >>= 1
     return acc
+
+
+def _exp_codes(p: int, r: int, modulus: Sequence[int], gamma: int) -> np.ndarray:
+    """gamma^0, ..., gamma^(q-2) as codes: the first _SCALAR_POWERS one
+    product at a time, then by doubling, exp[n:2n] being exp[0:n] times
+    gamma^n.  Multiplying by a fixed c is linear on the base-p digit
+    vectors, so each doubling is one r x r matrix product mod p, done in
+    blocks of about CHUNK digits."""
+    q = p**r
+    place = p ** np.arange(r, dtype=np.int64)
+    exp = np.empty(q - 1, dtype=np.int64)
+    rows = max(1, CHUNK // r)
+    n, c = min(q - 1, _SCALAR_POWERS), 1
+    for i in range(n):
+        exp[i] = c
+        c = _raw_mul(c, gamma, p, r, modulus)
+    while n < q - 1:
+        # row i: the digits of c * y^i, where y^i has the code p^i
+        mat = np.array([_low_digits(_raw_mul(c, p**i, p, r, modulus), p, r)
+                        for i in range(r)], dtype=np.int64)
+        m = min(n, q - 1 - n)
+        for i in range(0, m, rows):
+            digits = exp[i:min(i + rows, m), None] // place % p
+            exp[n + i:n + i + len(digits)] = (digits @ mat % p) @ place
+        c = _raw_mul(c, c, p, r, modulus)
+        n += m
+    return exp
 
 
 def _is_primitive(cand: int, p: int, r: int, modulus, q: int, factors) -> bool:
@@ -424,18 +456,15 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
     if mod is None:
         mod = (-gamma % p, 1)
 
-    exp = [0] * (q - 1)
-    x = 1
-    for i in range(q - 1):
-        exp[i] = x
-        x = _raw_mul(x, gamma, p, r, mod)
-    assert x == 1 and len(set(exp)) == q - 1, "exp table failed to cycle the group"
-    log = [-1] * q
-    for i, v in enumerate(exp):
-        log[v] = i
+    exp = _exp_codes(p, r, mod, gamma)
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(len(exp))
+    if _raw_mul(int(exp[-1]), gamma, p, r, mod) != 1 or log[0] != -1 \
+            or not np.array_equal(log[exp], np.arange(q - 1)):
+        raise AssertionError("exp table failed to cycle the group")
 
     return FieldSpec(p=p, r=r, q=q, modulus=mod, gamma=gamma,
-                     exp_table=tuple(exp), log_table=tuple(log))
+                     exp_table=tuple(exp.tolist()), log_table=tuple(log.tolist()))
 
 
 def field_from_json(data: dict) -> FieldSpec:

@@ -47,7 +47,17 @@ def map_table(field: FieldSpec, values) -> MapTable:
 
 
 def linear_map(field: FieldSpec, a: int) -> MapTable:
-    return MapTable(field, tuple(field.mul(a, x) for x in range(field.q)))
+    if a == 0:
+        return MapTable(field, (0,) * field.q)
+    return scaled_map(field, field.log_table[a])
+
+
+def scaled_map(field: FieldSpec, log_c) -> MapTable:
+    """x -> gamma^log_c(x) * x, with log_c an int or an array over the
+    codes 1..q-1.  The values are the int objects of exp_table, so a table
+    holds q references rather than q new ints."""
+    idx = (field.log_array[1:] + log_c) % (field.q - 1)
+    return MapTable(field, (0,) + tuple(map(field.exp_table.__getitem__, idx.tolist())))
 
 
 def is_permutation(t: MapTable) -> bool:

@@ -9,6 +9,7 @@ a tautology.  All functions speak the same integer element codes
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 from numbers import Integral
 
@@ -307,3 +308,137 @@ def is_homogeneous_bitrade(q: int, k: int, first, second) -> bool:
             if any(c != k for c in counts):
                 return False
     return True
+
+
+def exp_sequence(of: OracleField, gamma: int) -> list[int]:
+    """gamma^0, ..., gamma^(q-2), one multiplication at a time (plain
+    integer products mod p over a prime field)."""
+    p = of.p
+    mul = (lambda a, b: a * b % p) if of.r == 1 else of.mul
+    out = [1]
+    for _ in range(of.q - 2):
+        out.append(mul(out[-1], gamma))
+    return out
+
+
+class TabulatedField:
+    """OracleField subtraction and addition looked up in a q x q table,
+    built on first use, for the reference search, which calls them at every
+    node of an extension field."""
+
+    def __init__(self, of: OracleField):
+        self.of = of
+        self.q, self.r = of.q, of.r
+
+    @cached_property
+    def _sub(self) -> list[list[int]]:
+        """_sub[b][a] = a - b, digit by digit."""
+        p, r = self.of.p, self.of.r
+        vecs = [code_to_vec(c, p, r) for c in range(self.q)]
+        return [[vec_to_code([(x - y) % p for x, y in zip(va, vb)], p) for va in vecs]
+                for vb in vecs]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._sub[b][a]
+
+    def add(self, a: int, b: int) -> int:
+        return self._sub[self._sub[b][0]][a]
+
+
+def mrv_backtrack(spec, theta: list[int], free_v: int, free_d: int,
+                  open_pos: list[int], order: list[int], budget: int):
+    """Reference completion search: depth-first, always branching on a
+    most-constrained open position, the first in `remaining` on ties.
+
+    spec is any field with q, r, add and sub, such as a TabulatedField.
+
+    free_v and free_d are bitmasks of unused values and unused differences;
+    count[x] is the number of values still feasible at open position x and
+    is maintained incrementally on both assignment and undo.  Returns a
+    filled table, None when the node budget ran out, or the string
+    "infeasible" when the whole space was exhausted within budget.
+    """
+    q = spec.q
+    prime = spec.r == 1
+    add, sub = spec.add, spec.sub
+    full = (1 << q) - 1
+    count = {}
+    if prime:
+        for x in open_pos:
+            # feasible values at x are free_v intersected with free_d
+            # rotated by x, since v = d + x works modulo the prime
+            shifted = ((free_d << x) | (free_d >> (q - x))) & full
+            count[x] = (free_v & shifted).bit_count()
+    else:
+        for x in open_pos:
+            c = 0
+            vm = free_v
+            while vm:
+                vb = vm & -vm
+                if (free_d >> sub(vb.bit_length() - 1, x)) & 1:
+                    c += 1
+                vm ^= vb
+            count[x] = c
+
+    remaining = open_pos[:]
+    frames: list[tuple[int, int, int, int, int]] = []  # (x0, j, v0, d0, saved count)
+    nodes = 0
+
+    def next_value(x0: int, j: int) -> tuple[int, int, int]:
+        # first order[j'], j' >= j, compatible at x0 under current masks
+        while j < q:
+            v = order[j]
+            j += 1
+            if (free_v >> v) & 1:
+                d = (v - x0) % q if prime else sub(v, x0)
+                if (free_d >> d) & 1:
+                    return v, d, j
+        return -1, -1, j
+
+    while True:
+        if not remaining:
+            return theta
+        best = -1
+        best_c = q + 1
+        for x in remaining:
+            c = count[x]
+            if c < best_c:
+                best, best_c = x, c
+        x0, j = best, 0
+        while True:
+            v0, d0, j = (-1, -1, q) if best_c == 0 else next_value(x0, j)
+            if v0 >= 0:
+                nodes += 1
+                if nodes > budget:
+                    return None
+                theta[x0] = v0
+                remaining.remove(x0)
+                saved = count.pop(x0)
+                for x in remaining:
+                    d = (v0 - x) % q if prime else sub(v0, x)
+                    if (free_d >> d) & 1:
+                        count[x] -= 1
+                    vx = (x + d0) % q if prime else add(x, d0)
+                    if vx != v0 and (free_v >> vx) & 1:
+                        count[x] -= 1
+                free_v &= ~(1 << v0)
+                free_d &= ~(1 << d0)
+                frames.append((x0, j, v0, d0, saved))
+                break
+            if not frames:
+                return "infeasible"
+            # undo the parent assignment and resume its value scan
+            x0, j, v0, d0, saved = frames.pop()
+            free_v |= 1 << v0
+            free_d |= 1 << d0
+            for x in remaining:
+                d = (v0 - x) % q if prime else sub(v0, x)
+                if (free_d >> d) & 1:
+                    count[x] += 1
+                vx = (x + d0) % q if prime else add(x, d0)
+                if vx != v0 and (free_v >> vx) & 1:
+                    count[x] += 1
+            theta[x0] = -1
+            remaining.append(x0)
+            count[x0] = saved
+            best_c = saved

@@ -314,6 +314,24 @@ def test_failed_bitrade_validation_exits_3_under_O(tmp_path):
     assert "constructed bitrade failed validation" in proc.stderr
 
 
+def test_irregularity_check_exits_3_under_O(tmp_path):
+    import subprocess, sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import orthokit.cli as cli\n"
+        "assert sys.flags.optimize and False\n"  # stripped under -O
+        "cli.is_irregular = lambda t: False\n"
+        "sys.exit(cli.main(['irregular', '11', '1']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "maximal-degree orthomorphism is not irregular" in proc.stderr
+
+
 def test_repeat_invocations_byte_identical(capsys):
     _, out1 = run(capsys, "pair", "11", "1", "--seed", "5")
     _, out2 = run(capsys, "pair", "11", "1", "--seed", "5")

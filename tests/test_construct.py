@@ -1,6 +1,13 @@
 """Distance-3 pair builders: the swap rewiring, the subfield lift, the
 near-linear scan, pinned-value completion search, and the dispatcher."""
 
+import random
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from orthokit import (MapTable, NonexistenceError, PreconditionError,
@@ -11,10 +18,13 @@ from orthokit import (MapTable, NonexistenceError, PreconditionError,
                       max_degree_orthomorphism, near_linear_pair,
                       pair_even_odd_power, pair_f125, small_prime_pair,
                       swap_distance3)
-from orthokit.gf import build_field
+from orthokit import construct
+from orthokit.construct import _mrv_backtrack
+from orthokit.gf import build_field, prime_powers
 
 from oracles import (OracleField, all_orthomorphisms, cubic_root_count,
-                     is_irregular_table, near_linear_first_hit)
+                     TabulatedField, is_irregular_table, mrv_backtrack,
+                     near_linear_first_hit)
 
 # Pin triples (z, k, e) over GF(7) that no orthomorphism attains even though
 # they clear every local precondition; derived by filtering all 19
@@ -208,6 +218,141 @@ def test_complete_partial_extension_field(field):
     theta = complete_partial(fs, 2, 3, 7)
     assert theta[0] == 0 and theta[1] == 2 and theta[3] == 7
     assert is_orthomorphism(theta)
+
+
+@lru_cache(maxsize=None)
+def _reference_field(p, r, modulus):
+    return TabulatedField(OracleField(p, r, modulus))
+
+
+def _engine_and_reference(fs, z, k, e, order, budget):
+    """The search engine and the reference engine on one pin set, value
+    order and node budget: each outcome (a table, None or "infeasible")
+    with the table as the search left it, partial when the budget ran out."""
+    q = fs.q
+    ref_field = _reference_field(fs.p, fs.r, fs.modulus)
+    oracle = ref_field.of
+    open_pos = [x for x in range(2, q) if x != k]
+    runs = []
+    for engine in ("package", "reference"):
+        theta = [-1] * q
+        theta[0], theta[1], theta[k] = 0, z, e
+        if engine == "package":
+            free_v = np.ones(q, dtype=bool)
+            free_v[[0, z, e]] = False
+            free_d = np.ones(q, dtype=bool)
+            free_d[[0, fs.sub(z, 1), fs.sub(e, k)]] = False
+            out = _mrv_backtrack(fs, theta, free_v, free_d, open_pos, order, budget)
+        else:
+            full = (1 << q) - 1
+            out = mrv_backtrack(ref_field, theta, full & ~(1 | 1 << z | 1 << e),
+                                full & ~(1 | 1 << oracle.sub(z, 1) | 1 << oracle.sub(e, k)),
+                                open_pos, order, budget)
+        runs.append((out, theta))
+    return runs
+
+
+def _default_budget(q):
+    return max(1000, 50 * (q - 3))
+
+
+def _odd_prime_powers(lo, hi):
+    return [(p, r) for p, r, q in prime_powers(hi) if p > 2 and q > lo]
+
+
+@pytest.mark.parametrize("p,r", _odd_prime_powers(0, 128) + [
+    pytest.param(p, r, marks=pytest.mark.slow) for p, r in _odd_prime_powers(128, 400)])
+def test_engine_matches_reference(field, p, r):
+    # up to q = 128: the first swap pattern (2, 2, 1) and a seeded pin set,
+    # each in the plain order and two seeded shuffles under a budget of 200
+    # nodes, plus the swap pattern in the plain order under the budget
+    # complete_partial uses; above, the swap pattern under 200 nodes only
+    fs = field(p, r)
+    q = fs.q
+    rng = random.Random(q)
+    pins = [(2, 2, 1)]
+    while q <= 128 and len(pins) < 2:
+        z, k, e = rng.randrange(2, q), rng.randrange(2, q), rng.randrange(q)
+        if e not in (0, z, k, fs.add(k, fs.sub(z, 1))):
+            pins.append((z, k, e))
+    orders = [list(range(q))]
+    for i in range(2):
+        orders.append(list(range(q)))
+        random.Random(f"{q}:{i}").shuffle(orders[-1])
+    cases = [(pin, order, 200) for pin in pins for order in orders]
+    if q <= 128:
+        cases.append(((2, 2, 1), orders[0], _default_budget(q)))
+    for (z, k, e), order, budget in cases:
+        got, ref = _engine_and_reference(fs, z, k, e, order, budget)
+        assert got == ref, (z, k, e, order[:5], budget)
+
+
+@pytest.mark.parametrize("batch", [1, 2, construct._BATCH])
+def test_engine_matches_reference_on_every_small_pin_set(field, monkeypatch, batch):
+    # a batch of 1 or 2 makes every retry at a position resume its scan
+    monkeypatch.setattr(construct, "_BATCH", batch)
+    outcomes = set()
+    for p, r in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1)):
+        fs = field(p, r)
+        for z, k, e in _valid_triples(fs):
+            for budget in (_default_budget(fs.q), 3):
+                got, ref = _engine_and_reference(fs, z, k, e, list(range(fs.q)), budget)
+                assert got == ref, (fs.q, z, k, e, budget)
+                outcomes.add(got[0] if got[0] in (None, "infeasible") else "table")
+    assert outcomes == {"table", None, "infeasible"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,z,k,e,attempts", [(191, 164, 59, 156, 4),
+                                              (2003, 2, 2, 1, 1)])
+def test_engine_matches_reference_on_completion_attempts(field, q, z, k, e, attempts):
+    # the attempts complete_partial(GF(q), z, k, e) makes, in its order:
+    # the plain order first, then seeded reshuffles
+    fs = field(q, 1)
+    rng = random.Random(f"0:{q}:{z}:{k}:{e}")
+    seen = []
+    for attempt in range(attempts):
+        order = list(range(q))
+        if attempt:
+            rng.shuffle(order)
+        got, ref = _engine_and_reference(fs, z, k, e, order, _default_budget(q))
+        assert got == ref, attempt
+        seen.append(got[0] is None)
+    assert seen == [True] * (attempts - 1) + [False]
+    assert list(complete_partial(fs, z, k, e).values) == got[0]
+
+
+def test_construction_checks_survive_optimize(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import orthokit.construct as c\n"
+        "from orthokit import build_field, linear_map\n"
+        "assert sys.flags.optimize and False\n"  # stripped under -O
+        "fs = build_field(7, 1)\n"
+        "theta = c.complete_partial(fs, 3, 3, 2)\n"
+        "def check(fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except AssertionError as e:\n"
+        "        print(e)\n"
+        "check(c._verified_pair, theta, linear_map(build_field(7, 1, gamma=5), 2), 'T')\n"
+        "check(c._verified_pair, theta, linear_map(fs, 1), 'T')\n"
+        "check(c._verified_pair, theta, theta, 'T')\n"
+        "c.hamming_distance = lambda f, g: 4\n"
+        "check(c.swap_distance3, theta, 1, 3)\n"
+        "c.is_orthomorphism = lambda t: False\n"
+        "check(c.complete_partial, fs, 3, 3, 2)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "pair members live over different fields",
+        "construction T produced a non-orthomorphism",
+        "construction T produced distance 0, not 3",
+        "swap did not give an orthomorphism at distance 3",
+        "completion over GF(7) produced a non-orthomorphism"]
 
 
 # ---------------------------------------------------------------- cubics

@@ -1,17 +1,19 @@
 """Field kernel: construction policy, arithmetic vs the oracle, traces,
 cosets, serialization, and rejection of bad inputs."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokit import (ORDER_CAP, PreconditionError, build_field, field_from_json,
                       prime_powers)
-from orthokit.gf import is_prime
+from orthokit.gf import _is_irreducible, _low_digits, is_prime
 
-from oracles import OracleField
+from oracles import OracleField, exp_sequence
 
 
 def oracle_for(fs) -> OracleField:
@@ -148,6 +150,47 @@ def test_exp_log_roundtrip(field):
         for i in range(fs.q - 1):
             assert fs.log_table[fs.exp_table[i]] == i
         assert sorted(fs.exp_table) == list(range(1, fs.q))
+
+
+@pytest.mark.slow
+def test_field_tables_match_scalar_construction():
+    # every prime power q <= 4096, at the default gamma and at gamma^j for
+    # the smallest j >= 2 prime to q - 1, another primitive element
+    for p, r, q in prime_powers(4096):
+        fs = build_field(p, r)
+        if r > 1:
+            # the scan for the default modulus skips the candidates below
+            # p^(r-1), whose constant term is 0; scanning from 0 agrees
+            first = next(m for m in range(p**r) if _is_irreducible(
+                list(reversed(_low_digits(m, p, r))) + [1], p))
+            assert first >= p**(r - 1)
+            assert fs.modulus == tuple(reversed(_low_digits(first, p, r))) + (1,)
+        gammas = [fs.gamma]
+        if q > 3:
+            j = next(j for j in range(2, q) if math.gcd(j, q - 1) == 1)
+            gammas.append(fs.exp_table[j])
+        for gamma in gammas:
+            g = build_field(p, r, gamma=gamma)
+            exp = exp_sequence(OracleField(p, r, g.modulus), gamma)
+            assert g.gamma == gamma and g.exp_table == tuple(exp), (q, gamma)
+            assert g.log_table[0] == -1
+            assert all(g.log_table[x] == i for i, x in enumerate(exp)), (q, gamma)
+
+
+def test_exp_table_check_rejects_a_broken_table(monkeypatch):
+    import orthokit.gf as gf
+    good = gf._exp_codes
+    broken = {
+        "repeats": lambda *a: np.where(good(*a) == 5, 3, good(*a)),
+        "holds 0": lambda *a: np.where(good(*a) == 5, 0, good(*a)),
+        "stops short": lambda *a: good(*a)[:-1],
+    }
+    for name, fake in broken.items():
+        monkeypatch.setattr(gf, "_exp_codes", fake)
+        with pytest.raises(AssertionError, match="failed to cycle"):
+            gf.build_field(7, 1)
+        with pytest.raises(AssertionError, match="failed to cycle"):
+            gf.build_field(3, 2)
 
 
 @given(a=st.integers(0, 26), b=st.integers(0, 26), c=st.integers(0, 26))
