@@ -18,8 +18,6 @@ def main():
         description="orthomorphism census sweep over small prime powers")
     ap.add_argument("--max-q", type=int, default=11,
                     help=f"largest field order (default 11, cap {ENUM_CAP})")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the enumeration walk")
     args = ap.parse_args()
     if args.max_q > ENUM_CAP:
         ap.error(f"--max-q is capped at {ENUM_CAP}")
@@ -28,7 +26,7 @@ def main():
     for p, r, q in prime_powers(args.max_q):
         fs = build_field(p, r)
         t0 = time.perf_counter()
-        rep = census(fs, jobs=args.jobs)
+        rep = census(fs)
         dt = time.perf_counter() - t0
         predicted = math.exp(-0.5) * math.factorial(q) ** 2 / q ** (q - 1)
         rows.append({
@@ -46,7 +44,7 @@ def main():
             "non_irregular_bound": rep.non_irregular_bound,
             "seconds": round(dt, 3),
         })
-    print(json.dumps({"max_q": args.max_q, "jobs": args.jobs, "rows": rows},
+    print(json.dumps({"max_q": args.max_q, "rows": rows},
                      indent=2, sort_keys=True))
 
 

@@ -5,8 +5,9 @@ histogram, minimum pairwise Hamming distance and irregular count, next to
 the ceiling on how many non-irregular ones can exist.
 
 Every orthomorphism is t + c for one constant c and one normalized t, with
-t(0) = 0, so the census walks only normalized maps (a bitmask backtrack over
-values and differences) and scales its counts by q.  Degree and
+t(0) = 0, so the census walks only normalized maps and scales its counts
+by q.  The walk grows all prefixes t(0..x-1) one level x at a time, as
+arrays of used-value and used-difference bitmasks.  Degree and
 irregularity are invariant under t -> t + c: the reduced polynomial changes
 only in its constant term, and each translation t(x + g) - t(g) subtracts c
 away.  As H(t1 + c1, t2 + c2) = H(t1, t2 + (c2 - c1)), the minimum distance
@@ -16,8 +17,6 @@ over the (n, q) table of normalized maps on the field's array kernel.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -36,57 +35,35 @@ ENUM_CAP = 13
 _BLOCK = 128
 
 
-def _value_tuples(spec: FieldSpec, pin1: int | None = None) -> list[tuple[int, ...]]:
-    """Every orthomorphism t of the field with t(0) = 0 as a raw value
-    tuple, in lexicographic order; pin1 freezes t(1) for partitioned runs."""
+def _value_tuples(spec: FieldSpec) -> np.ndarray:
+    """The (n, q) table of every orthomorphism t of the field with
+    t(0) = 0, one row each, in lexicographic order."""
     q = spec.q
-    theta = [0] * q
-    # diff_bit[x][v] marks the difference v - x
-    diff_bit = [[1 << spec.sub(v, x) for v in range(q)] for x in range(q)]
-    full = (1 << q) - 1
-    out: list[tuple[int, ...]] = []
-
-    def rec(x: int, used_v: int, used_d: int, allowed: int = full) -> None:
-        free = allowed & ~used_v
-        bits = diff_bit[x]
-        if x == q - 1:  # at most one value left
-            v = free.bit_length() - 1
-            if free and not used_d & bits[v]:
-                theta[x] = v
-                out.append(tuple(theta))
-            return
-        while free:
-            vb = free & -free
-            free ^= vb
-            v = vb.bit_length() - 1
-            db = bits[v]
-            if not used_d & db:
-                theta[x] = v
-                rec(x + 1, used_v | vb, used_d | db)
-
-    rec(1, 1, 1, full if pin1 is None else (1 << pin1) & full)  # t(0) = 0
-    return out
-
-
-def _normalized(spec: FieldSpec, jobs: int) -> np.ndarray:
-    """The (n, q) table of normalized orthomorphisms, in lexicographic
-    order; the walk is split on t(1) across at most jobs processes."""
-    q = spec.q
-    pins = range(2, q)  # t(1) is neither 0 nor 1
-    workers = min(jobs, len(pins), os.cpu_count() or 1)
-    if workers <= 1:
-        tables = _value_tuples(spec)
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_census_worker, [(spec, v) for v in pins])
-        # ascending pins hold ascending t(1), so the parts are in order
-        tables = [t for part in parts for t in part]
-    return np.array(tables, dtype=np.int64).reshape(-1, q)
-
-
-def _census_worker(args: tuple[FieldSpec, int]) -> list[tuple[int, ...]]:
-    spec, v = args
-    return _value_tuples(spec, pin1=v)
+    codes = np.arange(q)
+    # q <= ENUM_CAP = 13 < 16, so the values and the differences a prefix
+    # has used each fit one uint16 bitmask
+    vbit = (1 << codes).astype(np.uint16)
+    used_v = np.ones(1, dtype=np.uint16)  # the prefix t(0) = 0
+    used_d = np.ones(1, dtype=np.uint16)
+    parents, values = [], []
+    for x in range(1, q):  # extend every prefix t(0..x-1) by t(x) = v
+        dbit = vbit[spec.sub_array(codes, x)]  # the difference v - x
+        ok = (used_v[:, None] & vbit) == 0
+        ok &= (used_d[:, None] & dbit) == 0
+        # row-major order keeps the children of each prefix in ascending v
+        # after those of the prefixes before it: lexicographic order
+        rows, v = np.nonzero(ok)
+        del ok  # before the next level's mask: it bounds the peak
+        used_v = used_v[rows] | vbit[v]
+        used_d = used_d[rows] | dbit[v]
+        parents.append(rows.astype(np.int32))
+        values.append(v.astype(np.int8))
+    tables = np.zeros((len(used_v), q), dtype=np.int64)
+    row = np.arange(len(used_v))
+    for x in range(q - 1, 0, -1):  # walk back up to t(0)
+        tables[:, x] = values[x - 1][row]
+        row = parents[x - 1][row]
+    return tables
 
 
 def enumerate_orthomorphisms(spec: FieldSpec) -> Iterator[MapTable]:
@@ -94,7 +71,7 @@ def enumerate_orthomorphisms(spec: FieldSpec) -> Iterator[MapTable]:
     if spec.q > ENUM_CAP:
         raise PreconditionError(
             f"exhaustive enumeration is capped at q = {ENUM_CAP}, got q = {spec.q}")
-    tables = _normalized(spec, jobs=1)
+    tables = _value_tuples(spec)
     # t + c has first value c, so each shift is one run of the order
     for c in range(spec.q):
         shifted = spec.add_array(tables, c)
@@ -185,20 +162,13 @@ class CensusReport:
         }
 
 
-def census(spec: FieldSpec, jobs: int = 1) -> CensusReport:
-    """Full orthomorphism census of GF(q), q <= 13.
-
-    jobs > 1 partitions the walk on the value of t(1) across a process
-    pool of at most min(jobs, q - 2, cpu count) workers; the aggregate is
-    identical to a single-job run.
-    """
+def census(spec: FieldSpec) -> CensusReport:
+    """Full orthomorphism census of GF(q), q <= 13."""
     q = spec.q
     if q > ENUM_CAP:
         raise PreconditionError(
             f"exhaustive enumeration is capped at q = {ENUM_CAP}, got q = {q}")
-    if jobs < 1:
-        raise PreconditionError("jobs must be a positive integer")
-    tables = _normalized(spec, jobs)
+    tables = _value_tuples(spec)
     hist = _degree_histogram(spec, tables)
     return CensusReport(
         q=q,
@@ -210,12 +180,12 @@ def census(spec: FieldSpec, jobs: int = 1) -> CensusReport:
     )
 
 
-def irregular_fraction(spec: FieldSpec, report: CensusReport | None = None,
-                       jobs: int = 1) -> Fraction:
+def irregular_fraction(spec: FieldSpec,
+                       report: CensusReport | None = None) -> Fraction:
     """Fraction of orthomorphisms of GF(q) that are irregular, with the
     non-irregular count checked against its theoretical ceiling."""
     if report is None:
-        report = census(spec, jobs=jobs)
+        report = census(spec)
     if report.total == 0:
         return Fraction(0, 1)
     regular = report.total - report.irregular_count

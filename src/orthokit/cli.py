@@ -129,8 +129,10 @@ def cmd_bitrade(args) -> str:
 
 
 def cmd_census(args) -> dict:
+    if args.jobs < 1:
+        raise PreconditionError("jobs must be a positive integer")
     fs = _build_from_args(args)
-    report = census(fs, jobs=args.jobs)
+    report = census(fs)
     out = {"field": fs.to_json()}
     out.update(report.to_json())
     return out
@@ -193,7 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("census", help="exhaustive orthomorphism census (q <= 13)")
     _add_field_args(s)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: the census "
+                        "runs in-process (must be a positive integer)")
     s.set_defaults(func=cmd_census)
 
     s = subs.add_parser("irregular", help="construct and verify an irregular orthomorphism")

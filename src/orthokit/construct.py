@@ -319,7 +319,10 @@ def even_char_theta(spec: FieldSpec, a: int, c: int) -> MapTable:
     for x in block:
         vals[x] ^= shift
     t = MapTable(spec, tuple(vals))
-    assert t[0] == 0 and is_orthomorphism(t)
+    if t[0] != 0 or not is_orthomorphism(t):
+        raise AssertionError(
+            f"theta_a over GF({spec.q}) with a={a}, c={c} is not a "
+            "zero-fixing orthomorphism")
     return t
 
 
@@ -362,14 +365,19 @@ def pair_even_odd_power(spec: FieldSpec) -> OrthoPair:
         if acc == 0:
             a = x
             break
-    assert a >= 0, "selection cubic has no root"
-    assert a not in (0, 1, c, cp1), "cubic root collides with the coset block"
+    if a < 0:
+        raise AssertionError("selection cubic has no root")
+    if a in (0, 1, c, cp1):
+        raise AssertionError("cubic root collides with the coset block")
     theta = even_char_theta(spec, a, c)
     b = spec.mul(c, spec.inv(a))
-    assert b not in (c, c ^ 1, c ^ a, c ^ a ^ 1), "swap point b fell into the shifted block"
-    assert theta[b] == c and theta[c] == spec.add(c, b)
+    if b in (c, c ^ 1, c ^ a, c ^ a ^ 1):
+        raise AssertionError("swap point b fell into the shifted block")
+    if theta[b] != c or theta[c] != spec.add(c, b):
+        raise AssertionError("theta_a does not map b to c and c to c + b")
     s = spec.add(spec.add(spec.mul(c, c), c), 1)
-    assert spec.trace(spec.mul(spec.pow(s, 3), spec.inv(spec.pow(c, 4)))) == 0
+    if spec.trace(spec.mul(spec.pow(s, 3), spec.inv(spec.pow(c, 4)))) != 0:
+        raise AssertionError("Tr(s^3 / c^4) is nonzero")
     phi = swap_distance3(theta, b, c)
     return _verified_pair(theta, phi, ODD_TWO)
 
@@ -389,13 +397,13 @@ def pair_f125(spec: FieldSpec | None = None) -> OrthoPair:
             "pair_f125 needs GF(125) with modulus y^3 + 3y + 3 and gamma = y")
     a = 25                 # y^2
     b = fs.add(a, 4)       # y^2 + 4
-    assert fs.log_table[b] == 75
     vals = _f125_table(fs, b)
     f = MapTable(fs, vals)
     c = vals[a]
-    assert vals[0] == 0 and c == 103 and vals[103] == 78
-    assert fs.exp_table[118] == 103 and fs.exp_table[40] == 78
-    assert vals[c] == fs.sub(c, a)
+    if not (fs.log_table[b] == 75 and vals[0] == 0 and c == 103
+            and vals[103] == 78 and fs.exp_table[118] == 103
+            and fs.exp_table[40] == 78 and vals[c] == fs.sub(c, a)):
+        raise AssertionError("GF(125) witness left its pinned codes")
     phi = swap_distance3(f, a, c)
     return _verified_pair(f, phi, F125)
 
@@ -483,7 +491,11 @@ def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
             pair = _f125_scan(spec)
     else:                   # p = 5, r odd >= 5
         pair = _swap_search(spec, seed, SWAP_LARGE)
-    assert pair.distance == 3 and is_orthomorphism(pair.f) and is_orthomorphism(pair.g)
+    if pair.distance != 3 or not (is_orthomorphism(pair.f)
+                                  and is_orthomorphism(pair.g)):
+        raise AssertionError(
+            f"distance3_pair over GF({q}) returned a {pair.provenance} pair "
+            "that is not two orthomorphisms at distance 3")
     return pair
 
 

@@ -452,7 +452,8 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
     elif not isinstance(gamma, int) or not 0 < gamma < q \
             or not _is_primitive(gamma, p, r, probe, q, factors):
         raise PreconditionError(f"gamma={gamma} is not a primitive element")
-    assert gamma is not None
+    if gamma is None:
+        raise AssertionError(f"no primitive element in GF({q})")
     if mod is None:
         mod = (-gamma % p, 1)
 

@@ -122,4 +122,5 @@ def reduced_degree(t: MapTable) -> int | None:
 def hamming_distance(f: MapTable, g: MapTable) -> int:
     if not f.field.same_as(g.field):
         raise PreconditionError("maps live over different fields")
-    return sum(a != b for a, b in zip(f.values, g.values))
+    u, v = (np.fromiter(t.values, np.int64, len(t.values)) for t in (f, g))
+    return int(np.count_nonzero(u != v))

@@ -15,7 +15,7 @@ from orthokit import (MapTable, PreconditionError, census,
                       interpolate, is_irregular)
 from orthokit.census import (CensusReport, _degree_histogram,
                              _irregular_count, _min_pairwise_distance,
-                             _normalized, _value_tuples)
+                             _value_tuples)
 
 from oracles import (OracleField, all_orthomorphisms, is_irregular_table,
                      lagrange_interpolate, poly_degree)
@@ -77,7 +77,7 @@ def test_census_gf11(field):
 
 @pytest.mark.slow
 def test_census_gf13(field):
-    rep = census(field(13, 1), jobs=4)
+    rep = census(field(13, 1))
     assert rep.total == FROZEN_13["total"]
     assert rep.degree_histogram == FROZEN_13["hist"]
     assert rep.min_pairwise_distance == FROZEN_13["mind"]
@@ -100,8 +100,12 @@ def test_census_total_matches_permutation_filter(field, p, r):
     mine = {t.values for t in enumerate_orthomorphisms(fs)}
     assert mine == oracle_set
     assert len(mine) == FROZEN[(p, r)]["total"]
-    # the normalized walk times q is the whole set, each map once
-    shifted = _shifts(fs, _normalized(fs, 1))
+    # the walk gives exactly the oracle's maps with t(0) = 0, in
+    # lexicographic order, and times q it is the whole set, each map once
+    tables = _value_tuples(fs)
+    assert tables.dtype == np.int64 and tables.shape[1] == fs.q
+    assert tables.tolist() == sorted(list(t) for t in oracle_set if t[0] == 0)
+    shifted = _shifts(fs, tables)
     assert len(shifted) == len(set(shifted)) == len(oracle_set)
     assert set(shifted) == oracle_set
 
@@ -124,7 +128,7 @@ def test_enumeration_is_lexicographic(field):
     for p, r in ((7, 1), (2, 3), (3, 2)):
         fs = field(p, r)
         tables = [t.values for t in enumerate_orthomorphisms(fs)]
-        assert tables == sorted(set(_shifts(fs, _normalized(fs, 1))))
+        assert tables == sorted(set(_shifts(fs, _value_tuples(fs))))
 
 
 def test_enumeration_cap(field):
@@ -132,69 +136,6 @@ def test_enumeration_cap(field):
         list(enumerate_orthomorphisms(field(2, 4)))
     with pytest.raises(PreconditionError, match="capped"):
         census(field(17, 1))
-    with pytest.raises(PreconditionError, match="jobs"):
-        census(field(5, 1), jobs=0)
-
-
-def test_parallel_census_matches_serial(field):
-    fs = field(7, 1)
-    assert census(fs, jobs=2) == census(fs, jobs=1)
-
-
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records the requested size and
-    maps in-process, so no worker is ever started."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(x) for x in items]
-
-
-@pytest.mark.parametrize("p,r,jobs,cpus,size", [
-    (7, 1, 10**9, 64, 5),     # clamped to the q - 2 partitions on t(1)
-    (7, 1, 3, 64, 3),
-    (7, 1, 10**9, 2, 2),      # clamped to the cpu count
-    (2, 3, 4, None, None),    # cpu count unknown: in-process
-    (7, 1, 1, 64, None),
-    (3, 1, 10**9, 64, None),  # a single partition: in-process
-    (2, 1, 10**9, 64, None),  # no partition at all
-])
-def test_jobs_pool_is_clamped(field, monkeypatch, p, r, jobs, cpus, size):
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr("multiprocessing.Pool", _RecordingPool)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    fs = field(p, r)
-    rep = census(fs, jobs=jobs)
-    assert _RecordingPool.sizes == ([] if size is None else [size])
-    assert rep.total == FROZEN[(p, r)]["total"]
-    assert rep == census(fs)
-
-
-def test_pin1_partition_is_a_partition(field):
-    # with t(0) = 0, t(1) is neither 0 nor 1: the pins 2..q-1 split the walk
-    # into consecutive runs of its lexicographic order, and 0 and 1 pin none
-    for p, r in ((5, 1), (7, 1), (2, 3), (3, 2)):
-        fs = field(p, r)
-        whole = _value_tuples(fs)
-        assert all(t[0] == 0 for t in whole)
-        assert _value_tuples(fs, pin1=0) == _value_tuples(fs, pin1=1) == []
-        parts = []
-        for v in range(2, fs.q):
-            part = _value_tuples(fs, pin1=v)
-            assert all(t[1] == v for t in part)
-            parts.extend(part)
-        assert parts == whole
-        assert len(whole) * fs.q == FROZEN[(p, r)]["total"]
 
 
 def _oracle_degree_histogram(of, tables):
@@ -204,7 +145,7 @@ def _oracle_degree_histogram(of, tables):
 
 def test_degree_histogram_numpy_matches_scalar(field):
     fs = field(7, 1)
-    tables = _normalized(fs, 1)
+    tables = _value_tuples(fs)
     hist = _degree_histogram(fs, tables)
     maps = [MapTable(fs, tuple(t)) for t in tables.tolist()]
     assert hist == dict(Counter(interpolate(t).degree for t in maps))
@@ -213,7 +154,7 @@ def test_degree_histogram_numpy_matches_scalar(field):
 
 def test_irregular_count_numpy_matches_scalar(field):
     fs = field(7, 1)
-    tables = _normalized(fs, 1)
+    tables = _value_tuples(fs)
     maps = [MapTable(fs, tuple(t)) for t in tables.tolist()]
     assert (_irregular_count(fs, tables)
             == sum(is_irregular(t) for t in maps) == 0)
@@ -223,7 +164,7 @@ def test_irregular_count_numpy_matches_scalar(field):
 def test_batched_stages_match_per_map_and_oracles(field, p, r):
     fs = field(p, r)
     of = OracleField(p, r, fs.modulus)
-    tables = _normalized(fs, 1)
+    tables = _value_tuples(fs)
     maps = [MapTable(fs, tuple(t)) for t in tables.tolist()]
     hist = _degree_histogram(fs, tables)
     assert hist == dict(Counter(interpolate(t).degree for t in maps))
@@ -243,7 +184,7 @@ def test_batched_stages_match_per_map_and_oracles(field, p, r):
 def test_batched_stages_match_per_map_and_oracles_gf11_sample(field):
     fs = field(11, 1)
     of = OracleField(11, 1, fs.modulus)
-    tables = _normalized(fs, 1)[::7]
+    tables = _value_tuples(fs)[::7]
     rows = tables.tolist()
     maps = [MapTable(fs, tuple(t)) for t in rows]
     hist = _degree_histogram(fs, tables)
@@ -270,7 +211,7 @@ def test_enumerated_degree_and_distance_properties(field, p, r):
     full_min = _full_min_distance(tables)
     assert full_min >= 3
     assert full_min == FROZEN[(p, r)]["mind"]
-    assert full_min == _min_pairwise_distance(fs, _normalized(fs, 1))
+    assert full_min == _min_pairwise_distance(fs, _value_tuples(fs))
 
 
 def _enumerate_cached(fs, _cache={}):

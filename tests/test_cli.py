@@ -241,6 +241,18 @@ def test_census_jobs_flag(capsys):
     code1, doc1 = run_json(capsys, "census", "5", "1")
     code2, doc2 = run_json(capsys, "census", "5", "1", "--jobs", "2")
     assert code1 == code2 == 0 and doc1 == doc2
+    outs = []
+    for jobs in ("1", "1000000000"):
+        assert main(["census", "7", "1", "--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_census_jobs_below_one_exits_2(capsys, jobs):
+    code, doc = run_json(capsys, "census", "5", "1", "--jobs", jobs)
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert doc["reason"] == "jobs must be a positive integer"
 
 
 def test_census_over_cap_exits_2(capsys):

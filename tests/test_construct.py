@@ -342,7 +342,10 @@ def test_construction_checks_survive_optimize(tmp_path):
         "c.hamming_distance = lambda f, g: 4\n"
         "check(c.swap_distance3, theta, 1, 3)\n"
         "c.is_orthomorphism = lambda t: False\n"
-        "check(c.complete_partial, fs, 3, 3, 2)\n")
+        "check(c.complete_partial, fs, 3, 3, 2)\n"
+        "check(c.even_char_theta, build_field(2, 3), 2, 4)\n"
+        "c._prime_pair = lambda spec, seed: c.OrthoPair(theta, theta, 3, 'T')\n"
+        "check(c.distance3_pair, fs)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, cwd=tmp_path,
                           env={"PYTHONPATH": str(src)}, timeout=60)
@@ -352,7 +355,10 @@ def test_construction_checks_survive_optimize(tmp_path):
         "construction T produced a non-orthomorphism",
         "construction T produced distance 0, not 3",
         "swap did not give an orthomorphism at distance 3",
-        "completion over GF(7) produced a non-orthomorphism"]
+        "completion over GF(7) produced a non-orthomorphism",
+        "theta_a over GF(8) with a=2, c=4 is not a zero-fixing orthomorphism",
+        "distance3_pair over GF(7) returned a T pair that is not two "
+        "orthomorphisms at distance 3"]
 
 
 # ---------------------------------------------------------------- cubics

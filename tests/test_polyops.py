@@ -11,7 +11,7 @@ from orthokit import (PreconditionError, evaluate, hamming_distance,
                       interpolate, linear_map, map_table, reduced_degree,
                       reduced_poly, tabulate)
 
-from oracles import OracleField, lagrange_interpolate, poly_degree
+from oracles import OracleField, hamming, lagrange_interpolate, poly_degree
 
 
 def test_linear_map_interpolates_to_degree_one(field):
@@ -114,3 +114,16 @@ def test_hamming_distance(field):
     other = field(5, 1, None, 3)  # same order, different gamma
     with pytest.raises(PreconditionError):
         hamming_distance(linear_map(fs, 2), linear_map(other, 2))
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (2, 6), (2, 16)])
+def test_hamming_distance_matches_oracle(field, p, r):
+    fs = field(p, r)
+    rng = random.Random(p ** r)
+    for flips in (0, 1, 3, fs.q // 2, fs.q):
+        u = [rng.randrange(fs.q) for _ in range(fs.q)]
+        v = list(u)
+        for x in rng.sample(range(fs.q), flips):
+            v[x] = (v[x] + 1 + rng.randrange(fs.q - 1)) % fs.q
+        got = hamming_distance(map_table(fs, u), map_table(fs, v))
+        assert got == hamming(u, v) == flips
