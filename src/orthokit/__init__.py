@@ -17,8 +17,8 @@ from .polyops import (ReducedPoly, evaluate, hamming_distance, interpolate,
                       reduced_degree, reduced_poly, tabulate)
 from .construct import (OrthoPair, complete_partial, cubic_unique_root,
                         distance3_pair, even_char_theta, even_irregular_witness,
-                        lift_subfield_pair, max_degree_orthomorphism,
-                        near_linear_pair, pair_even_odd_power, pair_f125,
+                        lift_subfield_pair, max_degree_member,
+                        max_degree_orthomorphism, near_linear_pair, pair_even_odd_power, pair_f125,
                         small_prime_pair, swap_distance3)
 from .bitrade import Bitrade, Triple, build_bitrade, validate_homogeneous
 from .census import (ENUM_CAP, CensusReport, census, enumerate_orthomorphisms,
@@ -37,7 +37,7 @@ __all__ = [
     "reduced_degree", "reduced_poly", "tabulate",
     "OrthoPair", "complete_partial", "cubic_unique_root", "distance3_pair",
     "even_char_theta", "even_irregular_witness", "lift_subfield_pair",
-    "max_degree_orthomorphism", "near_linear_pair", "pair_even_odd_power",
+    "max_degree_member", "max_degree_orthomorphism", "near_linear_pair", "pair_even_odd_power",
     "pair_f125", "small_prime_pair", "swap_distance3",
     "Bitrade", "Triple", "build_bitrade", "validate_homogeneous",
     "ENUM_CAP", "CensusReport", "census", "enumerate_orthomorphisms",

@@ -12,7 +12,9 @@ irregularity are invariant under t -> t + c: the reduced polynomial changes
 only in its constant term, and each translation t(x + g) - t(g) subtracts c
 away.  As H(t1 + c1, t2 + c2) = H(t1, t2 + (c2 - c1)), the minimum distance
 runs over normalized pairs and every shift.  Each stage is an array pass
-over the (n, q) table of normalized maps on the field's array kernel.
+over the (n, q) table of normalized maps on the field's array kernel; the
+degree histogram and the irregular count share is_irregular's top-down
+power sums and its degree certificate (see ortho).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gf import FieldSpec
-from .ortho import MapTable, _period_checks
+from .ortho import MapTable, _degrees, _irregular
 
 #: Largest field order the exhaustive walk will attempt.
 ENUM_CAP = 13
@@ -81,20 +83,7 @@ def enumerate_orthomorphisms(spec: FieldSpec) -> Iterator[MapTable]:
 
 def _degree_histogram(spec: FieldSpec, tables: np.ndarray) -> dict[int, int]:
     """Reduced degrees of the non-constant maps in the rows of tables."""
-    # coefficient j >= 1 of the reduced polynomial of t is
-    # -sum_x t(x) * x^(q-1-j), with 0^0 = 1, so the degree is q - 1 - e
-    # for the least e at which that power sum is nonzero
-    q = spec.q
-    codes = np.arange(q, dtype=np.int64)
-    power = np.ones(q, dtype=np.int64)  # x^e
-    hist: dict[int, int] = {}
-    for e in range(q - 1):
-        nonzero = spec.sum_array(spec.mul_array(tables, power), axis=1) != 0
-        if nonzero.any():
-            hist[q - 1 - e] = int(nonzero.sum())
-            tables = tables[~nonzero]
-        power = spec.mul_array(power, codes)
-    return hist
+    return {d: len(idx) for d, idx, _ in _degrees(spec, tables, spec.q - 1)}
 
 
 def _min_pairwise_distance(spec: FieldSpec, tables: np.ndarray) -> int | None:
@@ -132,14 +121,7 @@ def _min_pairwise_distance(spec: FieldSpec, tables: np.ndarray) -> int | None:
 
 def _irregular_count(spec: FieldSpec, tables: np.ndarray) -> int:
     """How many rows of tables (orthomorphisms) are irregular."""
-    exp = spec.exp_array
-    checks = _period_checks(spec)
-    regular = np.zeros(len(tables), dtype=bool)
-    for g in range(spec.q):  # is_irregular's test on T_g of every row
-        tg = spec.sub_array(tables[:, spec.add_array(exp, g)], tables[:, g, None])
-        for d, times in checks:
-            regular |= (tg[:, d:] == times[tg[:, :-d]]).all(axis=1)
-    return len(tables) - int(regular.sum())
+    return int(_irregular(spec, tables).sum())
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ deterministic for fixed arguments, including --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .bitrade import build_bitrade, validate_homogeneous
 from .census import census
-from .construct import distance3_pair, even_irregular_witness, max_degree_orthomorphism
+from .construct import distance3_pair, even_irregular_witness, max_degree_member
 from .errors import PreconditionError, SearchExhaustedError
 from .gf import FieldSpec, build_field, field_from_json, json_int
 from .ortho import (cyclotomic_profile, is_irregular, is_orthomorphism,
@@ -22,11 +23,13 @@ from .ortho import (cyclotomic_profile, is_irregular, is_orthomorphism,
 from .polyops import interpolate, reduced_poly, tabulate
 
 
-#: Largest field order verify accepts.  Interpolating the map and scanning
-#: its translations take O(q^2) time: on a 2-core machine, verify --map of a
-#: random permutation took 50 s at 3^10 and 35 s at 2^16, the slowest orders
-#: at or below this cap, and 64 s at 5^7.  Larger orders are refused before
-#: the field is built, which alone takes seconds near 2^20.
+#: Largest field order verify accepts.  Interpolating the map takes O(q^2)
+#: time: on a 2-core machine, verify --map of a random permutation took 50 s
+#: at 3^10 and 35 s at 2^16, the slowest orders at or below this cap, and
+#: 64 s at 5^7.  The irregularity check is O(q), except for the maps whose
+#: degree certificate is inconclusive (see ortho), which it scans in O(q^2).
+#: Larger orders are refused before the field is built, which alone takes
+#: seconds near 2^20.
 VERIFY_CAP = 2**16
 
 
@@ -149,13 +152,12 @@ def cmd_irregular(args) -> dict:
         payload["irregular"] = True
         return payload
     if q > 7 and q % 3 != 1:
-        poly = max_degree_orthomorphism(fs, seed=args.seed)
-        t = tabulate(poly)
+        t = max_degree_member(fs, seed=args.seed)
         if not is_irregular(t):
             raise AssertionError("maximal-degree orthomorphism is not irregular")
         payload = t.to_json()
         payload["branch"] = "max-degree"
-        payload["degree"] = poly.degree
+        payload["degree"] = q - 3
         payload["irregular"] = True
         return payload
     raise PreconditionError(
@@ -163,6 +165,9 @@ def cmd_irregular(args) -> dict:
         "need even q > 4, or q > 7 with q not 1 mod 3")
 
 
+# built once per process: add_argument's gettext lookups and terminal-size
+# queries cost about 1 ms per build
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthokit",

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
 from .gf import CHUNK, FieldSpec, build_field, is_prime
-from .ortho import MapTable, is_irregular, is_orthomorphism, linear_map, scaled_map
+from .ortho import (MapTable, _power_sum, is_irregular, is_orthomorphism,
+                    linear_map, scaled_map)
 from .polyops import hamming_distance, interpolate, ReducedPoly
 
 NON25 = "NON25"
@@ -499,16 +500,25 @@ def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
     return pair
 
 
-def max_degree_orthomorphism(spec: FieldSpec, seed: int = 0) -> ReducedPoly:
-    """An orthomorphism polynomial of reduced degree exactly q - 3, the
-    maximum possible; exists for every prime power except 2, 3, 5 and 8."""
+def max_degree_member(spec: FieldSpec, seed: int = 0) -> MapTable:
+    """The first member of distance3_pair(spec, seed) of reduced degree
+    q - 3, the maximum possible; exists for every prime power except 2, 3,
+    5 and 8.  As no orthomorphism has degree above q - 3, that is the first
+    member whose x^(q-3) coefficient is nonzero: one O(q) sum each."""
     if spec.q in (2, 3, 5, 8):
         raise NonexistenceError(
             f"no orthomorphism of reduced degree q-3 exists over GF({spec.q})")
     pair = distance3_pair(spec, seed)
-    target = spec.q - 3
     for t in (pair.f, pair.g):
-        poly = interpolate(t)
-        if poly.degree == target:
-            return poly
+        if _power_sum(spec, np.array(t.values, dtype=np.int64), 2) != 0:
+            return t
     raise AssertionError("distance-3 pair with no degree q-3 member")
+
+
+def max_degree_orthomorphism(spec: FieldSpec, seed: int = 0) -> ReducedPoly:
+    """The reduced polynomial of max_degree_member(spec, seed), of degree
+    exactly q - 3."""
+    poly = interpolate(max_degree_member(spec, seed))
+    if poly.degree != spec.q - 3:
+        raise AssertionError("distance-3 pair member has no degree q-3 polynomial")
+    return poly

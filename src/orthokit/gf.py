@@ -400,6 +400,14 @@ class FieldSpec:
         digits = (partial[..., None] >> (bits * np.arange(self.r))) & ((1 << bits) - 1)
         return self._from_digits(digits.sum(axis=axis % a.ndim, dtype=np.int64))
 
+    def dot_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Field sum of a * b along the last axis, b one vector of codes."""
+        if self.r == 1:
+            # plain integers: each product is below p^2 <= 2^40, and at most
+            # q <= 2^20 of them add up, so nothing overflows int64
+            return a @ b % self.p
+        return self.sum_array(self.mul_array(a, b), axis=-1)
+
     @cached_property
     def _wide_codes(self) -> tuple[np.ndarray, int, int]:
         """Every code with its base-p digits spread to `bits` bits each, and

@@ -4,10 +4,22 @@ Permutation and orthomorphism tests, translations, cyclotomic maps, the
 minimal proper cyclotomic index of a map, and the irregularity decision.
 The predicates, difference_map, translate and cyclotomic_profile are O(q)
 array passes on the field's array kernel; cyclotomic_profile tests one
-period per prime factor of q - 1.  is_irregular scans all q translations
-in row blocks, O(q^2) in the worst case, and stops at the first block that
-holds a cyclotomic translation.  Their independent references are the
-brute-force oracles in tests/oracles.py.
+period per prime factor of q - 1.
+
+is_irregular decides most maps in O(q) from the reduced degree D and the
+two top coefficients t_D, t_(D-1), read top-down as power sums.  For
+D >= 2 every translation T_g(x) = t(x + g) - t(g) has degree D and the
+x^(D-1) coefficient t_(D-1) + D * g * t_D, while a map cyclotomic of index
+(q - 1) / ell has the form x * P(x^ell), with terms only in degrees
+1 (mod ell).  So t is irregular when no prime ell | q - 1 has
+D = 1 (mod ell); otherwise a cyclotomic T_g needs that coefficient to
+vanish, which for p not dividing D leaves the one translation
+g = -t_(D-1) / (D * t_D), and for p | D none unless t_(D-1) = 0.  Only
+the maps left over (D <= 1, D below the top rows read, or p | D with
+t_(D-1) = 0) get the scan of all q translations, O(q^2) in the worst
+case, which stops at the first block that holds a cyclotomic translation.
+Their independent references are the brute-force oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -147,6 +159,18 @@ def cyclotomic_profile(t: MapTable) -> CyclotomicProfile:
     return CyclotomicProfile(n, tuple(ratios[:n].tolist()))
 
 
+#: Top coefficients of the reduced polynomial the irregularity certificate
+#: reads, O(q) each, before it leaves a map to the translation scan.  The
+#: bound keeps a linear map at O(q) rows: the scan settles it at g = 0.
+_CERTIFY_ROWS = 8
+
+# How _certify settles a row: no prime ell | q - 1 has D = 1 (mod ell); only
+# T_g with g = -t_(D-1) / (D * t_D) can be cyclotomic; p | D and
+# t_(D-1) != 0; p | D and t_(D-1) == 0, left to the scan; D <= 1 or below
+# the top rows, left to the scan.
+CERTIFIED, ONE_TRANSLATION, P_DIVIDES, P_DIVIDES_SCAN, SCAN = range(5)
+
+
 def _period_checks(fs: FieldSpec) -> list[tuple[int, np.ndarray]]:
     """(d, x -> gamma^d * x) for each maximal proper period d = (q - 1) / prime.
 
@@ -159,25 +183,106 @@ def _period_checks(fs: FieldSpec) -> list[tuple[int, np.ndarray]]:
             for d in (q1 // ell for ell in distinct_prime_factors(q1))]
 
 
+def _translations(fs: FieldSpec, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """T_g(gamma^k) = v(gamma^k + g) - v(g) for k < q - 1, for maps v along
+    the last axis and translations g of size 1 there, broadcast together."""
+    return fs.sub_array(np.take_along_axis(v, fs.add_array(fs.exp_array, g), -1),
+                        np.take_along_axis(v, g, -1))
+
+
+def _cyclotomic(tg: np.ndarray, checks) -> np.ndarray:
+    """Which maps T, read along the last axis of tg at gamma^0..gamma^(q-2),
+    are cyclotomic of a proper index."""
+    hit = np.zeros(tg.shape[:-1], dtype=bool)
+    for d, times in checks:
+        hit |= (tg[..., d:] == times[tg[..., :-d]]).all(axis=-1)
+    return hit
+
+
+def _power_sum(fs: FieldSpec, tables: np.ndarray, e: int) -> np.ndarray:
+    """sum_x t(x) * x^e, with 0^0 = 1, for each map t along the last axis of
+    tables: for e < q - 1, minus the x^(q-1-e) coefficient of the reduced
+    polynomial of t."""
+    power = fs.exp_array[fs.log_array * e % (fs.q - 1)]
+    power[0] = e == 0
+    return fs.dot_array(tables, power)
+
+
+def _degrees(fs: FieldSpec, tables: np.ndarray, rows: int):
+    """Walk the reduced polynomials of the rows of tables (n, q) down from
+    x^(q-1), through at most `rows` coefficients; yield (D, idx, s) for the
+    rows idx of degree D, with s their power sum q - 1 - D, that is -t_D.
+    Rows whose degree lies below the walk are never yielded."""
+    left = np.arange(len(tables))
+    for e in range(min(rows, fs.q - 1)):
+        s = _power_sum(fs, tables, e)
+        hit = s != 0
+        if hit.any():
+            yield fs.q - 1 - e, left[hit], s[hit]
+            left, tables = left[~hit], tables[~hit]
+            if not len(left):
+                return
+
+
+def _certify(fs: FieldSpec, tables: np.ndarray, checks) -> tuple[np.ndarray, np.ndarray]:
+    """(path, irregular) for the rows of tables (n, q), orthomorphisms: how
+    the degree certificate settles each row, one of CERTIFIED .. SCAN, and
+    whether the row is irregular; rows with path >= P_DIVIDES_SCAN are left
+    to the translation scan and read False."""
+    path = np.full(len(tables), SCAN, dtype=np.int8)
+    irregular = np.zeros(len(tables), dtype=bool)
+    primes = distinct_prime_factors(fs.q - 1)
+    for d, idx, s in _degrees(fs, tables, _CERTIFY_ROWS):
+        if d < 2:
+            continue
+        if all((d - 1) % ell for ell in primes):
+            path[idx], irregular[idx] = CERTIFIED, True
+            continue
+        below = _power_sum(fs, tables[idx], fs.q - d)  # -t_(D-1)
+        if d % fs.p == 0:  # the x^(D-1) coefficient of every T_g is t_(D-1)
+            path[idx] = np.where(below != 0, P_DIVIDES, P_DIVIDES_SCAN)
+            irregular[idx] = below != 0
+            continue
+        # t_(D-1) + D * g * t_D = 0, and below / s = t_(D-1) / t_D
+        denom = fs.mul_array(s, d % fs.p)
+        g = fs.mul_array(fs.sub_array(0, below),
+                         fs.exp_array[-fs.log_array[denom] % (fs.q - 1)])
+        path[idx] = ONE_TRANSLATION
+        irregular[idx] = ~_cyclotomic(_translations(fs, tables[idx], g[:, None]), checks)
+    return path, irregular
+
+
+def _scan(fs: FieldSpec, tables: np.ndarray, checks) -> np.ndarray:
+    """Which rows of tables (n, q) have a translation that is cyclotomic of
+    a proper index, trying g in blocks of 1, 2, 4, ... up to CHUNK elements
+    and dropping each row once one is found, so a map whose first
+    translations are cyclotomic stops after little work."""
+    q, q1 = fs.q, fs.q - 1
+    found = np.zeros(len(tables), dtype=bool)
+    left = np.arange(len(tables))
+    lo, rows = 0, 1
+    while lo < q and len(left):
+        g = np.arange(lo, min(lo + rows, q))[None, :, None]
+        hit = _cyclotomic(_translations(fs, tables[left, None], g), checks).any(axis=1)
+        found[left[hit]] = True
+        left = left[~hit]
+        lo += rows
+        rows = min(2 * rows, max(1, CHUNK // (q1 * max(1, len(left)))))
+    return found
+
+
+def _irregular(fs: FieldSpec, tables: np.ndarray) -> np.ndarray:
+    """Which rows of tables (n, q), orthomorphisms, are irregular: the degree
+    certificate, then the translation scan for the rows it leaves."""
+    checks = _period_checks(fs)
+    path, irregular = _certify(fs, tables, checks)
+    left = path >= P_DIVIDES_SCAN
+    irregular[left] = ~_scan(fs, tables[left], checks)
+    return irregular
+
+
 def is_irregular(t: MapTable) -> bool:
     """True when no translation of t is cyclotomic of any proper index."""
     if not is_orthomorphism(t):
         raise PreconditionError("irregularity is defined for orthomorphisms only")
-    fs = t.field
-    q, q1 = fs.q, fs.q - 1
-    exp = fs.exp_array
-    checks = _period_checks(fs)
-    codes = np.arange(q, dtype=np.int64)
-    v = _array(t)
-    # translations g in blocks of 1, 2, 4, ... rows up to CHUNK elements, so
-    # a map whose first translations are cyclotomic stops after little work
-    lo, rows, most = 0, 1, max(1, CHUNK // q1)
-    while lo < q:
-        g = codes[lo:lo + rows, None]
-        tg = fs.sub_array(v[fs.add_array(exp, g)], v[g])  # T_g(gamma^k)
-        for d, times in checks:
-            if (tg[:, d:] == times[tg[:, :-d]]).all(axis=1).any():
-                return False
-        lo += rows
-        rows = min(2 * rows, most)
-    return True
+    return bool(_irregular(t.field, _array(t)[None])[0])

@@ -1,0 +1,144 @@
+"""The degree certificate behind is_irregular, cross-checked against the
+brute-force irregularity oracle and against the translation scan."""
+
+import random
+
+import numpy as np
+import pytest
+
+from orthokit import (MapTable, NonexistenceError, cyclotomic_map,
+                      distance3_pair, even_char_theta, interpolate,
+                      is_irregular, is_orthomorphism, linear_map, prime_powers,
+                      translate)
+from orthokit.census import _irregular_count, _value_tuples
+from orthokit.ortho import (CERTIFIED, ONE_TRANSLATION, P_DIVIDES,
+                            P_DIVIDES_SCAN, SCAN, _certify, _period_checks,
+                            _scan)
+
+from oracles import (OracleField, TabulatedField, is_irregular_table,
+                     mrv_backtrack)
+
+#: Every prime power 3 <= q <= 64; GF(2) has no orthomorphism.
+FIELDS = [(p, r) for p, r, q in prime_powers(64) if q > 2]
+
+#: Orthomorphisms with p | D, a surviving prime ell | q - 1 and
+#: t_(D-1) != 0, in the default fields; each was the first such map a
+#: seeded random completion search met.  Random maps of degree q - 3 never
+#: take this path: p | q - 3 only for p = 3, where no ell survives.
+P_DIVIDES_WITNESSES = {
+    (2, 4): [6, 4, 11, 1, 15, 5, 10, 8, 0, 13, 9, 12, 2, 7, 3, 14],
+    (3, 3): [14, 2, 16, 18, 25, 8, 26, 15, 12, 7, 3, 21, 10, 9, 23, 5, 13,
+             6, 1, 4, 20, 0, 24, 22, 19, 11, 17],
+}
+
+
+def _random_orthomorphisms(fs, of, rng, count):
+    """Orthomorphisms from the reference completion search, with shuffled
+    positions and value order."""
+    q, full = fs.q, (1 << fs.q) - 1
+    spec = TabulatedField(of)
+    out = []
+    while len(out) < count:
+        order, pos = list(range(q)), list(range(q))
+        rng.shuffle(order)
+        rng.shuffle(pos)
+        found = mrv_backtrack(spec, [-1] * q, full, full, pos, order, 50 * q)
+        if isinstance(found, list):
+            out.append(MapTable(fs, tuple(found)))
+    return out
+
+
+def _cyclotomic_orthomorphisms(fs, rng):
+    """Per proper index n, a seeded cyclotomic orthomorphism when one turns
+    up, with a translate of it (regular, its cyclotomic translation at a
+    nonzero g)."""
+    q = fs.q
+    out = []
+    for n in (n for n in range(1, q - 1) if (q - 1) % n == 0):
+        for _ in range(100):
+            c = cyclotomic_map(fs, n, [rng.randrange(1, q) for _ in range(n)])
+            if is_orthomorphism(c):
+                out += [c, translate(c, rng.randrange(1, q))]
+                break
+    return out
+
+
+def _family(fs, of, rng):
+    q = fs.q
+    maps = []
+    try:
+        pair = distance3_pair(fs, seed=0)
+        maps += [pair.f, pair.g, translate(pair.f, rng.randrange(q)),
+                 translate(pair.g, rng.randrange(q))]
+    except NonexistenceError:
+        pass
+    if fs.p == 2 and q >= 8:
+        maps += [even_char_theta(fs, a, c)
+                 for a, c in ((2, 4), (3, 4), (q - 1, 2)) if c not in (1, a, a ^ 1)]
+    for a in range(2, q):
+        t = linear_map(fs, a)
+        if is_orthomorphism(t):
+            b = rng.randrange(q)
+            maps += [t, MapTable(fs, tuple(fs.add(v, b) for v in t.values))]
+    if fs.r > 1:
+        # x^p + b*x: degree p, and in odd characteristic ell = 2 survives
+        for b in range(2, q):
+            t = MapTable(fs, tuple(fs.add(fs.pow(x, fs.p), fs.mul(b, x))
+                                   for x in range(q)))
+            if is_orthomorphism(t):
+                maps.append(t)
+                break
+    maps += _cyclotomic_orthomorphisms(fs, rng)
+    maps += _random_orthomorphisms(fs, of, rng, 3)
+    if (fs.p, fs.r) in P_DIVIDES_WITNESSES:
+        maps.append(MapTable(fs, tuple(P_DIVIDES_WITNESSES[fs.p, fs.r])))
+    return maps
+
+
+@pytest.mark.slow
+def test_certificate_matches_oracle_up_to_64(field):
+    """is_irregular against the oracle on every family at every q <= 64,
+    with every path of the certificate taken."""
+    rng = random.Random(2021)
+    seen = set()
+    low_degree_scan = False
+    for p, r in FIELDS:
+        fs = field(p, r)
+        of = OracleField(p, r, fs.modulus)
+        maps = _family(fs, of, rng)
+        for t in maps:
+            assert is_irregular(t) == is_irregular_table(of, t.values), (fs.q, t.values)
+        tables = np.array([t.values for t in maps], dtype=np.int64)
+        path, _ = _certify(fs, tables, _period_checks(fs))
+        seen |= set(path.tolist())
+        low_degree_scan |= any(interpolate(maps[i]).degree <= 1
+                               for i in np.flatnonzero(path == SCAN))
+    assert seen == {CERTIFIED, ONE_TRANSLATION, P_DIVIDES, P_DIVIDES_SCAN, SCAN}
+    assert low_degree_scan
+
+
+@pytest.mark.parametrize("p,r", sorted(P_DIVIDES_WITNESSES))
+def test_p_divides_witnesses(field, p, r):
+    fs = field(p, r)
+    t = MapTable(fs, tuple(P_DIVIDES_WITNESSES[p, r]))
+    d = interpolate(t).degree
+    assert is_orthomorphism(t) and d % p == 0
+    path, irregular = _certify(fs, np.array([t.values]), _period_checks(fs))
+    assert path.tolist() == [P_DIVIDES] and irregular.tolist() == [True]
+    assert is_irregular(t)
+    assert is_irregular_table(OracleField(p, r, fs.modulus), t.values)
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in FIELDS if p**r <= 11])
+def test_certificate_matches_scan_on_census_maps(field, p, r):
+    """Every normalized orthomorphism of q <= 11: the certificate agrees with
+    the block scan wherever it decides, and the census count with both."""
+    fs = field(p, r)
+    tables = _value_tuples(fs)
+    checks = _period_checks(fs)
+    path, irregular = _certify(fs, tables, checks)
+    regular = _scan(fs, tables, checks)
+    decided = path < P_DIVIDES_SCAN
+    assert (irregular[decided] == ~regular[decided]).all()
+    assert not irregular[~decided].any()
+    assert _irregular_count(fs, tables) == int((~regular).sum())

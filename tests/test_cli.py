@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from orthokit import build_field, interpolate, is_irregular, map_table
+from orthokit import (build_field, distance3_pair, interpolate, is_irregular,
+                      is_orthomorphism, map_table, max_degree_orthomorphism,
+                      prime_powers, tabulate)
 from orthokit.cli import VERIFY_CAP, main
 
 
@@ -283,6 +285,32 @@ def test_irregular_max_degree_branch(capsys):
     assert is_irregular(t)
 
 
+def test_irregular_max_degree_payload_up_to_343(capsys):
+    # the printed table is the pair member of degree q - 3, as tabulating
+    # its interpolated polynomial gives back
+    for p, r, q in prime_powers(343):
+        if p == 2 or q <= 7 or q % 3 == 1:
+            continue
+        fs = build_field(p, r)
+        code, doc = run_json(capsys, "irregular", str(p), str(r))
+        assert code == 0 and doc["branch"] == "max-degree", q
+        assert doc["degree"] == q - 3
+        assert doc["values"] == list(tabulate(max_degree_orthomorphism(fs)).values), q
+        pair = distance3_pair(fs)
+        first = next(t for t in (pair.f, pair.g) if interpolate(t).degree == q - 3)
+        assert doc["values"] == list(first.values), q
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,r,branch", [(2, 16, "even-theta"), (3, 9, "max-degree")])
+def test_irregular_large_fields(capsys, p, r, branch):
+    code, doc = run_json(capsys, "irregular", str(p), str(r))
+    assert code == 0 and doc["branch"] == branch and doc["irregular"] is True
+    assert is_orthomorphism(map_table(build_field(p, r), doc["values"]))
+    if branch == "max-degree":
+        assert doc["degree"] == p**r - 3
+
+
 @pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (2, 2)])
 def test_irregular_unsupported_fields_exit_2(capsys, p, r):
     code, doc = run_json(capsys, "irregular", str(p), str(r))
@@ -306,6 +334,23 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "internal assertion failed: wired for testing" in captured.err
     assert captured.out == ""
+
+
+def test_parser_is_built_once(capsys):
+    import orthokit.cli as cli
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    fresh = cli._build_parser.__wrapped__()
+    assert parser.format_help() == fresh.format_help()
+    for argv in (["pair", "7"], ["census", "7", "1", "--jobs", "x"], ["verify"],
+                 ["irregular", "--help"]):
+        errs = []
+        for run_with in (main, main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                run_with(argv)
+            captured = capsys.readouterr()
+            errs.append((exc.value.code, captured.out, captured.err))
+        assert errs[0] == errs[1] == errs[2]
 
 
 def test_failed_bitrade_validation_exits_3_under_O(tmp_path):

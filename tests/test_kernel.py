@@ -64,6 +64,22 @@ def test_kernel_ops_match_oracle(field, p, r):
         assert got == want
     assert fs.sum_array(rows.T, axis=0).tolist() == \
         fs.sum_array(rows, axis=-1).tolist()
+    vec = rows[0].tolist()
+    for row, got in zip(rows.tolist(), fs.dot_array(rows, rows[0]).tolist()):
+        want = 0
+        for x, y in zip(row, vec):
+            want = of.add(want, of.mul(x, y))
+        assert got == want
+
+
+def test_dot_array_does_not_overflow_at_the_largest_prime(field):
+    # q terms of (p - 1)^2, about 2^60 in all, summed as plain integers
+    fs = field(1048573, 1)
+    vec = np.full(fs.q, fs.q - 1, dtype=np.int64)
+    vec[0] = 1
+    rows = np.full((2, fs.q), fs.q - 1, dtype=np.int64)
+    want = ((fs.q - 1) + (fs.q - 1) ** 3) % fs.q
+    assert fs.dot_array(rows, vec).tolist() == [want, want]
 
 
 @pytest.mark.parametrize("p,r", [(3, 6), (5, 4)])
