@@ -164,10 +164,12 @@ def cyclotomic_profile(t: MapTable) -> CyclotomicProfile:
 #: bound keeps a linear map at O(q) rows: the scan settles it at g = 0.
 _CERTIFY_ROWS = 8
 
-# How _certify settles a row: no prime ell | q - 1 has D = 1 (mod ell); only
-# T_g with g = -t_(D-1) / (D * t_D) can be cyclotomic; p | D and
-# t_(D-1) != 0; p | D and t_(D-1) == 0, left to the scan; D <= 1 or below
-# the top rows, left to the scan.
+# How _certify settles a row of degree D:
+#   CERTIFIED        no prime ell | q - 1 has D = 1 (mod ell): irregular
+#   ONE_TRANSLATION  only T_g with g = -t_(D-1) / (D * t_D) can be cyclotomic
+#   P_DIVIDES        p | D and t_(D-1) != 0: irregular
+#   P_DIVIDES_SCAN   p | D and t_(D-1) == 0: left to the scan
+#   SCAN             D <= 1, or below the rows read: left to the scan
 CERTIFIED, ONE_TRANSLATION, P_DIVIDES, P_DIVIDES_SCAN, SCAN = range(5)
 
 
