@@ -41,6 +41,9 @@ def _value_tuples(spec: FieldSpec) -> np.ndarray:
     """The (n, q) table of every orthomorphism t of the field with
     t(0) = 0, one row each, in lexicographic order."""
     q = spec.q
+    if q > ENUM_CAP:
+        raise PreconditionError(
+            f"exhaustive enumeration is capped at q = {ENUM_CAP}, got q = {q}")
     codes = np.arange(q)
     # q <= ENUM_CAP = 13 < 16, so the values and the differences a prefix
     # has used each fit one uint16 bitmask
@@ -70,9 +73,6 @@ def _value_tuples(spec: FieldSpec) -> np.ndarray:
 
 def enumerate_orthomorphisms(spec: FieldSpec) -> Iterator[MapTable]:
     """All orthomorphisms of GF(q), q <= 13, in lexicographic table order."""
-    if spec.q > ENUM_CAP:
-        raise PreconditionError(
-            f"exhaustive enumeration is capped at q = {ENUM_CAP}, got q = {spec.q}")
     tables = _value_tuples(spec)
     # t + c has first value c, so each shift is one run of the order
     for c in range(spec.q):
@@ -147,9 +147,6 @@ class CensusReport:
 def census(spec: FieldSpec) -> CensusReport:
     """Full orthomorphism census of GF(q), q <= 13."""
     q = spec.q
-    if q > ENUM_CAP:
-        raise PreconditionError(
-            f"exhaustive enumeration is capped at q = {ENUM_CAP}, got q = {q}")
     tables = _value_tuples(spec)
     hist = _degree_histogram(spec, tables)
     return CensusReport(

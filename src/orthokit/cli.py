@@ -20,7 +20,7 @@ from .errors import PreconditionError, SearchExhaustedError
 from .gf import FieldSpec, build_field, field_from_json, json_int
 from .ortho import (cyclotomic_profile, is_irregular, is_orthomorphism,
                     is_permutation, map_table)
-from .polyops import interpolate, reduced_poly, tabulate
+from .polyops import interpolate, reduced_degree, reduced_poly, tabulate
 
 
 #: Largest field order verify accepts.  Interpolating the map takes O(q^2)
@@ -101,7 +101,7 @@ def cmd_verify(args) -> dict:
         fs = field_from_json(spec)
         if args.map:
             t = map_table(fs, doc["values"])
-            degree = interpolate(t).degree
+            degree = reduced_degree(t)
         else:
             poly = reduced_poly(fs, doc["coeffs"])
             t = tabulate(poly)

@@ -5,13 +5,15 @@ below and succeeds for every prime power q except 2, 5 and 8, where no such
 pair exists.  Every construction re-verifies its output (two orthomorphisms,
 distance exactly 3) before returning, so a bug here surfaces as an exception
 rather than as a bad artifact downstream; provenance tags record which
-builder produced a pair.
+builder produced a pair.  Only the SMALL_SEARCH completion search reads a
+seed: over primes p = 2 (mod 3) above 5, and lifted from there by NON25.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,13 +21,13 @@ from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
 from .gf import CHUNK, FieldSpec, build_field, is_prime
 from .ortho import (MapTable, _power_sum, is_irregular, is_orthomorphism,
                     linear_map, scaled_map)
-from .polyops import hamming_distance, interpolate, ReducedPoly
+from .polyops import ReducedPoly, hamming_distance, interpolate, tabulate
 
 NON25 = "NON25"
 ONE_MOD3 = "ONE_MOD3"
-SWAP_LARGE = "SWAP_LARGE"
 ODD_TWO = "ODD_TWO"
 F125 = "F125"
+LINEARIZED = "LINEARIZED"
 SMALL_SEARCH = "SMALL_SEARCH"
 PRIME3 = "PRIME3"
 
@@ -104,7 +106,7 @@ def lift_subfield_pair(spec: FieldSpec, phi: MapTable, theta: MapTable) -> Ortho
             raise PreconditionError("subfield maps must live on the prime field")
         if not is_orthomorphism(t):
             raise PreconditionError("subfield maps must be orthomorphisms")
-    if sum(a != b for a, b in zip(phi.values, theta.values)) != 3:
+    if hamming_distance(phi, theta) != 3:
         raise PreconditionError("subfield pair must be at Hamming distance 3")
     # Prime-subfield elements are exactly the codes below p, and their
     # arithmetic agrees with Z_p, so the small tables transfer verbatim.
@@ -316,7 +318,7 @@ def even_char_theta(spec: FieldSpec, a: int, c: int) -> MapTable:
     if not 0 <= c < spec.q or 0 in block:
         raise PreconditionError("c must lie outside {0, 1, a, a+1}")
     shift = spec.mul(a, a ^ 1)
-    vals = [spec.mul(a, x) for x in range(spec.q)]
+    vals = list(linear_map(spec, a).values)
     for x in block:
         vals[x] ^= shift
     t = MapTable(spec, tuple(vals))
@@ -357,17 +359,10 @@ def pair_even_odd_power(spec: FieldSpec) -> OrthoPair:
     else:
         raise AssertionError("no admissible c below q")
     cp1 = c ^ 1
-    a = -1
-    for x in range(q):
-        acc = spec.pow(x, 3)
-        acc = spec.add(acc, spec.mul(cp1, spec.mul(x, x)))
-        acc = spec.add(acc, spec.mul(c, x))
-        acc = spec.add(acc, c)
-        if acc == 0:
-            a = x
-            break
-    if a < 0:
+    cubic = tabulate(ReducedPoly(spec, (c, c, cp1, 1))).values
+    if 0 not in cubic:
         raise AssertionError("selection cubic has no root")
+    a = cubic.index(0)
     if a in (0, 1, c, cp1):
         raise AssertionError("cubic root collides with the coset block")
     theta = even_char_theta(spec, a, c)
@@ -383,10 +378,9 @@ def pair_even_odd_power(spec: FieldSpec) -> OrthoPair:
     return _verified_pair(theta, phi, ODD_TWO)
 
 
-def _f125_table(fs: FieldSpec, b: int) -> tuple[int, ...]:
-    # (a - b) = 1 whenever b = a + 4 over characteristic 5, so the
-    # normalizing factor drops out of x^5 - b*x.
-    return tuple(fs.sub(fs.pow(x, 5), fs.mul(b, x)) for x in range(125))
+def _linearized(fs: FieldSpec, b: int) -> MapTable:
+    """x -> x^5 - b*x, an F_5-linear map of GF(5^r)."""
+    return tabulate(ReducedPoly(fs, (0, fs.neg(b), 0, 0, 0, 1)))
 
 
 def pair_f125(spec: FieldSpec | None = None) -> OrthoPair:
@@ -398,8 +392,8 @@ def pair_f125(spec: FieldSpec | None = None) -> OrthoPair:
             "pair_f125 needs GF(125) with modulus y^3 + 3y + 3 and gamma = y")
     a = 25                 # y^2
     b = fs.add(a, 4)       # y^2 + 4
-    vals = _f125_table(fs, b)
-    f = MapTable(fs, vals)
+    f = _linearized(fs, b)
+    vals = f.values
     c = vals[a]
     if not (fs.log_table[b] == 75 and vals[0] == 0 and c == 103
             and vals[103] == 78 and fs.exp_table[118] == 103
@@ -409,33 +403,37 @@ def pair_f125(spec: FieldSpec | None = None) -> OrthoPair:
     return _verified_pair(f, phi, F125)
 
 
-def _f125_scan(fs: FieldSpec) -> OrthoPair:
-    """Same x^5-based construction in an arbitrary GF(125) basis: scan for a
-    outside the fourth powers with a + 4 outside too and the swap equation
-    f(f(a)) = f(a) - a satisfied.  A witness always exists because the pinned
-    one transports through any field isomorphism."""
-    if (fs.p, fs.r) != (5, 3):
-        raise PreconditionError("needs GF(125)")
-    log = fs.log_table
-    for a in range(1, 125):
-        if log[a] % 4 == 0:
-            continue
-        b = fs.add(a, 4)
-        if b == 0 or log[b] % 4 == 0:
-            continue
-        vals = _f125_table(fs, b)
-        c = vals[a]
-        if vals[c] != fs.sub(c, a):
-            continue
-        f = MapTable(fs, vals)
-        if not is_orthomorphism(f):
-            continue
-        phi = swap_distance3(f, a, c)
-        return _verified_pair(f, phi, F125)
-    raise SearchExhaustedError("no x^5-based witness found in this GF(125) basis")
+def linearized_pair(fs: FieldSpec) -> OrthoPair:
+    """Distance-3 pair over GF(5^r), r odd >= 3, in any basis: f(x) =
+    x^5 - b*x, an orthomorphism exactly when neither b nor b + 1 is a
+    nonzero fourth power, swapped at (a, f(a)) for an a != 0 with
+    f(f(a)) = f(a) - a.  The scan tries b = a - 1 for a ascending, then
+    every b ascending with its least a: one O(q) array pass per rule or b."""
+    if fs.p != 5 or fs.r % 2 == 0 or fs.r < 3:
+        raise PreconditionError("needs q = 5^r with odd r >= 3")
+    q = fs.q
+    quartic = fs.log_array % 4 == 0  # the nonzero fourth powers
+    ok = ~quartic & ~quartic[fs.add_array(np.arange(q), 1)]  # f is an orthomorphism
+    x5 = np.array(_linearized(fs, 0).values, dtype=np.int64)
+    a = np.arange(1, q, dtype=np.int64)
+    for b in chain([fs.sub_array(a, 1)], np.flatnonzero(ok)):
+        b = np.broadcast_to(b, a.shape)
+        c = fs.sub_array(x5[a], fs.mul_array(b, a))
+        fc = fs.sub_array(x5[c], fs.mul_array(b, c))
+        hit = np.flatnonzero(ok[b] & (fc == fs.sub_array(c, a)))
+        if len(hit):
+            break
+    else:
+        raise SearchExhaustedError(f"no x^5 - b*x witness found for q={q}")
+    i = int(hit[0])
+    f = _linearized(fs, int(b[i]))
+    if not is_orthomorphism(f):  # checked in full before the swap
+        raise AssertionError(f"x^5 - {int(b[i])}x over GF({q}) is not an orthomorphism")
+    phi = swap_distance3(f, int(a[i]), int(c[i]))
+    return _verified_pair(f, phi, F125 if q == 125 else LINEARIZED)
 
 
-def _swap_search(fs: FieldSpec, seed: int, provenance: str) -> OrthoPair:
+def _swap_search(fs: FieldSpec, seed: int) -> OrthoPair:
     # Target pattern theta(0)=0, theta(1)=z, theta(z)=z-1 for ascending z,
     # then swap at (1, z).
     for z in range(2, fs.q):
@@ -444,7 +442,7 @@ def _swap_search(fs: FieldSpec, seed: int, provenance: str) -> OrthoPair:
         except SearchExhaustedError:
             continue
         phi = swap_distance3(theta, 1, z)
-        return _verified_pair(theta, phi, provenance)
+        return _verified_pair(theta, phi, SMALL_SEARCH)
     raise SearchExhaustedError(f"no completable swap pattern for q={fs.q}")
 
 
@@ -456,7 +454,7 @@ def _prime_pair(fs: FieldSpec, seed: int) -> OrthoPair:
         return _verified_pair(f, g, PRIME3)
     if p % 3 == 1:
         return near_linear_pair(fs)
-    return _swap_search(fs, seed, SMALL_SEARCH)
+    return _swap_search(fs, seed)
 
 
 def small_prime_pair(p: int, seed: int = 0) -> OrthoPair:
@@ -470,7 +468,8 @@ def small_prime_pair(p: int, seed: int = 0) -> OrthoPair:
 
 def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
     """Orthomorphism pair of GF(q) at Hamming distance exactly 3; exists for
-    every prime power except 2, 5 and 8."""
+    every prime power except 2, 5 and 8.  seed affects only the SMALL_SEARCH
+    pairs and their NON25 lifts (see the module docstring)."""
     q = spec.q
     if q in (2, 5, 8):
         raise NonexistenceError(
@@ -485,13 +484,10 @@ def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
         pair = near_linear_pair(spec)
     elif spec.p == 2:       # r odd, q not in {2, 8}, so r >= 5
         pair = pair_even_odd_power(spec)
-    elif q == 125:
-        if spec.modulus == F125_MODULUS and spec.gamma == 5:
-            pair = pair_f125(spec)
-        else:
-            pair = _f125_scan(spec)
-    else:                   # p = 5, r odd >= 5
-        pair = _swap_search(spec, seed, SWAP_LARGE)
+    elif spec.modulus == F125_MODULUS and spec.gamma == 5:
+        pair = pair_f125(spec)
+    else:                   # p = 5, r odd >= 3
+        pair = linearized_pair(spec)
     if pair.distance != 3 or not (is_orthomorphism(pair.f)
                                   and is_orthomorphism(pair.g)):
         raise AssertionError(

@@ -24,7 +24,7 @@ Construction policy, fully deterministic:
 * callers may supply either explicitly, e.g. to match element codes from a
   published table.
 
-FieldSpec instances are frozen and safe to share across workers.
+FieldSpec instances are frozen.
 """
 
 from __future__ import annotations
@@ -464,6 +464,9 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
         raise AssertionError(f"no primitive element in GF({q})")
     if mod is None:
         mod = (-gamma % p, 1)
+    elif r == 1 and mod != (-gamma % p, 1):
+        raise PreconditionError(f"a degree-1 modulus must be y - gamma, here "
+                                f"{[-gamma % p, 1]} for gamma={gamma}, got {list(mod)}")
 
     exp = _exp_codes(p, r, mod, gamma)
     log = np.full(q, -1, dtype=np.int64)

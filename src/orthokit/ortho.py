@@ -110,11 +110,10 @@ def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
     cs = tuple(int(a) for a in coeffs)
     if len(cs) != n or any(not 0 <= a < q for a in cs):
         raise PreconditionError("need one coefficient per coset, as codes in [0, q)")
-    vals = [0] * q
-    for t in range(q - 1):
-        x = field.exp_table[t]
-        vals[x] = field.mul(cs[t % n], x)
-    return MapTable(field, tuple(vals))
+    vals = np.zeros(q, dtype=np.int64)
+    exp = field.exp_array
+    vals[exp] = field.mul_array(np.array(cs, dtype=np.int64)[np.arange(q - 1) % n], exp)
+    return MapTable(field, tuple(vals.tolist()))
 
 
 @dataclass(frozen=True)

@@ -442,3 +442,26 @@ def mrv_backtrack(spec, theta: list[int], free_v: int, free_d: int,
             remaining.append(x0)
             count[x0] = saved
             best_c = saved
+
+
+def f125_scan(of: OracleField):
+    """The x^5-based GF(125) witness in the basis of of, as (f, g) value
+    tuples: the first a in ascending code order outside the fourth powers,
+    with b = a + 4 nonzero and outside them too, such that
+    f(x) = x^5 - b*x has f(f(a)) = f(a) - a and is an orthomorphism; g
+    swaps f at 0, a and f(a).  Fourth powers are the roots of x^31 = 1."""
+    assert (of.p, of.r) == (5, 3)
+    fifth = [of.powi(x, 5) for x in range(125)]
+    quartic = {x for x in range(1, 125) if of.powi(x, 31) == 1}
+    for a in range(1, 125):
+        b = of.add(a, 4)
+        if a in quartic or b == 0 or b in quartic:
+            continue
+        vals = [of.sub(fifth[x], of.mul(b, x)) for x in range(125)]
+        c = vals[a]
+        if vals[c] != of.sub(c, a) or not is_orthomorphism_table(of, vals):
+            continue
+        swapped = list(vals)
+        swapped[0], swapped[c], swapped[a] = of.sub(c, a), c, 0
+        return tuple(vals), tuple(swapped)
+    return None

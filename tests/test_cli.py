@@ -183,6 +183,31 @@ def test_field_args_above_cap_exit_2_at_once(capsys, command, p, r):
     assert code == 2 and doc["error"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("p,modulus", [("7", "0,1"), ("5", "2,1")])
+def test_field_rejects_prime_modulus_that_contradicts_gamma(capsys, p, modulus):
+    # y over GF(7) would put gamma = 0, and y + 2 over GF(5) gamma = 3,
+    # while the default gammas are 3 and 2
+    code, doc = run_json(capsys, "field", p, "1", "--modulus", modulus)
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert "y - gamma" in doc["reason"]
+    code, doc = run_json(capsys, "field", "5", "1", "--modulus", "2,1", "--gamma", "3")
+    assert code == 0 and doc["field"] == {"p": 5, "r": 1, "modulus": [2, 1], "gamma": 3}
+
+
+def test_verify_rejects_prime_modulus_that_contradicts_gamma(capsys, tmp_path):
+    path = tmp_path / "prime.json"
+    for gamma, want in ((2, 2), (3, 0)):
+        path.write_text(json.dumps({"field": {"p": 5, "r": 1, "modulus": [2, 1],
+                                              "gamma": gamma},
+                                    "values": [0, 2, 4, 1, 3]}))
+        code, doc = run_json(capsys, "verify", "--map", str(path))
+        assert code == want
+        if code:
+            assert doc["error"] == "PreconditionError" and "y - gamma" in doc["reason"]
+        else:
+            assert doc["orthomorphism"] is True
+
+
 def test_field_rejects_modulus_coefficients_out_of_range(capsys):
     # -1 is not read as 1 mod 2: [1, 1, 1] would be the irreducible y^2+y+1
     code, doc = run_json(capsys, "field", "2", "2", "--modulus", "1,-1,1")
@@ -208,6 +233,18 @@ def test_verify_accepts_the_cap_order(capsys, tmp_path):
     code, doc = run_json(capsys, "verify", "--map", str(path))
     assert VERIFY_CAP == 2**16
     assert code == 2 and "exactly q values" in doc["reason"]
+
+
+def test_gf3125_commands(capsys):
+    code, doc = run_json(capsys, "pair", "5", "5")
+    assert code == 0 and doc["provenance"] == "LINEARIZED"
+    degrees = [len(doc[k]["coeffs"]) - 1 for k in ("f_poly", "g_poly")]
+    assert degrees == [5, 3122]
+    code, doc = run_json(capsys, "irregular", "5", "5")
+    assert code == 0 and doc["branch"] == "max-degree" and doc["degree"] == 3122
+    code, doc = run_json(capsys, "bitrade", "5", "5")
+    assert code == 0 and doc["homogeneous"] is True
+    assert len(doc["L1"]) == len(doc["L2"]) == 3 * 3125
 
 
 def test_bitrade_json(capsys):

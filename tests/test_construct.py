@@ -14,8 +14,8 @@ from orthokit import (MapTable, NonexistenceError, PreconditionError,
                       SearchExhaustedError, complete_partial,
                       cubic_unique_root, distance3_pair, even_char_theta,
                       even_irregular_witness, hamming_distance, interpolate, is_orthomorphism,
-                      lift_subfield_pair, linear_map, map_table,
-                      max_degree_orthomorphism, near_linear_pair,
+                      lift_subfield_pair, linear_map, linearized_pair, map_table,
+                      max_degree_member, max_degree_orthomorphism, near_linear_pair,
                       pair_even_odd_power, pair_f125, small_prime_pair,
                       swap_distance3)
 from orthokit import construct
@@ -23,7 +23,7 @@ from orthokit.construct import _mrv_backtrack
 from orthokit.gf import build_field, prime_powers
 
 from oracles import (OracleField, all_orthomorphisms, cubic_root_count,
-                     TabulatedField, is_irregular_table, mrv_backtrack,
+                     TabulatedField, f125_scan, is_irregular_table, mrv_backtrack,
                      near_linear_first_hit)
 
 # Pin triples (z, k, e) over GF(7) that no orthomorphism attains even though
@@ -482,6 +482,51 @@ def test_f125_scan_handles_default_basis(field):
     assert is_orthomorphism(pair.f) and is_orthomorphism(pair.g)
 
 
+# every monic irreducible cubic over F_5: one with no root in F_5
+F5_CUBICS = [(c0, c1, c2, 1) for c2 in range(5) for c1 in range(5) for c0 in range(5)
+             if all((x**3 + c2 * x * x + c1 * x + c0) % 5 for x in range(5))]
+
+
+@pytest.mark.parametrize("modulus", F5_CUBICS)
+def test_linearized_pair_matches_f125_scan(field, modulus):
+    # the b = a - 1 rule is the GF(125) scan's, in every basis, and the
+    # basis alone fixes the element codes: gamma changes nothing
+    assert len(F5_CUBICS) == 40
+    want = f125_scan(OracleField(5, 3, modulus))
+    fs = field(5, 3, modulus)
+    for gamma in (fs.gamma, fs.exp_table[-1]):  # gamma and 1 / gamma
+        pair = linearized_pair(field(5, 3, modulus, gamma))
+        assert pair.provenance == "F125" and pair.distance == 3
+        assert (pair.f.values, pair.g.values) == want
+
+
+def test_linearized_pair_gf3125_witness(field):
+    # no a has b = a - 1 here: the witness is the least a of the least b
+    fs = field(5, 5)
+    pair = distance3_pair(fs)
+    assert pair.provenance == "LINEARIZED"
+    assert pair.f.values == tuple(fs.sub(fs.pow(x, 5), fs.mul(113, x))
+                                  for x in range(fs.q))
+    c = pair.f[162]
+    assert [x for x in range(fs.q) if pair.f[x] != pair.g[x]] == sorted([0, 162, c])
+    assert (pair.g[0], pair.g[162], pair.g[c]) == (fs.sub(c, 162), 0, c)
+    member = max_degree_member(fs)
+    assert member.values == pair.g.values and interpolate(member).degree == fs.q - 3
+    assert interpolate(pair.f).degree == 5
+
+
+def test_linearized_pair_gf78125(field):
+    pair = distance3_pair(field(5, 7))
+    assert pair.provenance == "LINEARIZED" and pair.distance == 3
+    assert hamming_distance(pair.f, pair.g) == 3
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (5, 2), (5, 4), (7, 3), (2, 5)])
+def test_linearized_pair_preconditions(field, p, r):
+    with pytest.raises(PreconditionError, match="odd r >= 3"):
+        linearized_pair(field(p, r))
+
+
 # ---------------------------------------------------------------- dispatch
 
 
@@ -496,6 +541,7 @@ def test_f125_scan_handles_default_basis(field):
     (2, 4, "ONE_MOD3"),
     (5, 2, "ONE_MOD3"),
     (2, 5, "ODD_TWO"),
+    (5, 5, "LINEARIZED"),
 ])
 def test_distance3_pair_dispatch(field, p, r, tag):
     pair = distance3_pair(field(p, r))

@@ -93,6 +93,10 @@ def test_r1_modulus_convention(field):
     assert fs.modulus == (4, 1)
     fs13 = field(13, 1)
     assert fs13.modulus == ((-fs13.gamma) % 13, 1)
+    assert build_field(7, 1, (4, 1), 3).modulus == (4, 1)
+    for modulus, gamma in (((0, 1), None), ((4, 1), 5), ((2, 1), None)):
+        with pytest.raises(PreconditionError, match="y - gamma"):
+            build_field(7, 1, modulus, gamma)
 
 
 # -- arithmetic vs the oracle ---------------------------------------------

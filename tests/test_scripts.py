@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from orthokit import prime_powers
 from test_census import FROZEN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,10 +21,12 @@ def _run_script(name, *args):
 
 
 def test_pair_sweep_script():
-    doc = _run_script("pair_sweep.py", "--max-q", "16")
+    doc = _run_script("pair_sweep.py", "--max-q", "125")
     qs = [row["q"] for row in doc["rows"]]
-    assert doc["max_q"] == 16 and qs == [3, 4, 7, 9, 11, 13, 16]
+    assert doc["max_q"] == 125 and qs[:7] == [3, 4, 7, 9, 11, 13, 16]
+    assert qs == [q for _, _, q in prime_powers(125) if q not in (2, 5, 8)]
     assert doc["fields"] == len(qs) == sum(doc["by_provenance"].values())
+    assert doc["by_provenance"]["F125"] == 1
     for row in doc["rows"]:
         # a distance-3 pair has a member of the maximal degree q - 3
         assert max(row["deg_f"], row["deg_g"]) == max(row["q"] - 3, 1), row
