@@ -6,19 +6,22 @@ swapped for one another inside any Latin square containing either.
 
 Each half is a read-only (k*q, 3) int64 array of (row, col, sym) triples in
 lexicographic order.  Building, validating and printing a bitrade are array
-passes; no Python object is made per triple until the text is written.
+passes.  The text is written from uint8 blocks of at most CHUNK records,
+filled from a table of every code's ASCII digits, so no Python int is made
+per code, and a caller can write each block out as it is made.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .gf import FieldSpec
+from .gf import CHUNK, FieldSpec
 from .ortho import MapTable, is_orthomorphism
 
 
@@ -29,13 +32,48 @@ class Triple(NamedTuple):
     sym: int
 
 
-#: One triple as json.dumps(indent=2) writes it in a list one level deep.
-_JSON_TRIPLE = "\n    [\n      %d,\n      %d,\n      %d\n    ]"
+#: The fixed text of one JSON triple's record, around its three codes, as
+#: json.dumps(indent=2) writes a triple in a list one level deep.  The first
+#: byte of a record separates it from the one before.
+_JSON_RECORD = (",\n    [\n      ", ",\n      ", ",\n      ", "\n    ]")
 
 
-def _fill(template: str, sep: str, half: np.ndarray) -> str:
-    """template applied to each triple of half, joined by sep."""
-    return sep.join([template] * len(half)) % tuple(half.ravel().tolist())
+def _digit_table(q: int) -> np.ndarray:
+    """(q, w) uint8 table: row c holds the ASCII decimal digits of code c,
+    left-aligned and padded with NUL; w is the number of digits of q - 1."""
+    w = len(str(q - 1))
+    table = np.zeros((q, w), dtype=np.uint8)
+    # the codes with n digits are one contiguous range
+    for n in range(1, w + 1):
+        lo, hi = (10 ** (n - 1) if n > 1 else 0), min(q, 10**n)
+        codes = np.arange(lo, hi, dtype=np.int64)
+        for j in range(n):
+            table[lo:hi, j] = codes // 10 ** (n - 1 - j) % 10 + ord("0")
+    return table
+
+
+def _blocks(half: np.ndarray, table: np.ndarray,
+            fixed: tuple[str, ...]) -> Iterator[str]:
+    """The records of half's triples, CHUNK rows at a time: fixed[0], code,
+    fixed[1], code, fixed[2], code, fixed[3], each code as its row of table,
+    without the first record's separator byte."""
+    w = table.shape[1]
+    template = np.frombuffer(("\0" * w).join(fixed).encode("ascii"),
+                             dtype=np.uint8)
+    starts = list(accumulate((len(fixed[0]), len(fixed[1]) + w,
+                              len(fixed[2]) + w)))
+    for lo in range(0, len(half), CHUNK):
+        rows = half[lo:lo + CHUNK]
+        rec = np.empty((len(rows), len(template)), dtype=np.uint8)
+        rec[:] = template
+        for c, start in enumerate(starts):
+            # table[rows[:, c]], as take: 0.28 against 0.50 ms per column
+            # of a 2^14-row block at q = 2^16 (numpy 2.4, 2-core machine)
+            rec[:, start:start + w] = table.take(rows[:, c], axis=0)
+        if lo == 0:
+            rec[0, 0] = 0
+        # one compress drops the NUL padding of the digits
+        yield str(rec[rec != 0], "ascii")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,24 +96,51 @@ class Bitrade:
         """The bitrade as text.  "json" gives exactly the string
         json.dumps(self.to_json() | extra, indent=2, sort_keys=True);
         "csv" gives one line "L1,row,col,sym" per triple of the first half,
-        then one "L2,..." line per triple of the second."""
+        then one "L2,..." line per triple of the second.  The triples are
+        written as ASCII byte blocks from a digit table, so no Python int is
+        made per code.  Raises ValueError for an unknown format or a code
+        outside [0, q)."""
+        return "".join(self.pieces(fmt, **extra))
+
+    def pieces(self, fmt: str = "json", **extra) -> Iterator[str]:
+        """render(fmt, **extra) as consecutive strings, the triples in
+        blocks of at most CHUNK, so that the text can be written out without
+        being held whole.  The format and the codes are checked when this is
+        called, before any string is made."""
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"unknown bitrade format {fmt!r}")
+        q = self.field.q
+        for half in (self.first, self.second):
+            # a digit-table lookup would wrap a negative code silently
+            if len(half) and not (0 <= half.min() and half.max() < q):
+                raise ValueError(f"bitrade code outside [0, {q})")
+        return self._pieces(fmt, extra)
+
+    def _pieces(self, fmt: str, extra: dict) -> Iterator[str]:
+        table = _digit_table(self.field.q)
         halves = {"L1": self.first, "L2": self.second}
         if fmt == "csv":
-            blocks = (_fill(f"{tag},%d,%d,%d", "\n", half)
-                      for tag, half in halves.items())
-            return "\n".join(block for block in blocks if block)
-        if fmt != "json":
-            raise ValueError(f"unknown bitrade format {fmt!r}")
+            first, second = (_blocks(half, table, (f"\n{tag},", ",", ",", ""))
+                             for tag, half in halves.items())
+            yield from first
+            if len(self.first) and len(self.second):
+                yield "\n"
+            yield from second
+            return
         # the encoder writes everything but the triples; each half's list
-        # then replaces its placeholder string
-        text = json.dumps(self._document("\0L1", "\0L2") | extra,
+        # goes where its placeholder string was
+        rest = json.dumps(self._document("\0L1", "\0L2") | extra,
                           indent=2, sort_keys=True)
         for tag, half in halves.items():
-            rows = "[]"
+            head, _, rest = rest.partition(f'"\\u0000{tag}"')
+            yield head
             if len(half):
-                rows = "[" + _fill(_JSON_TRIPLE, ",", half) + "\n  ]"
-            text = text.replace(f'"\\u0000{tag}"', rows, 1)
-        return text
+                yield "["
+                yield from _blocks(half, table, _JSON_RECORD)
+                yield "\n  ]"
+            else:
+                yield "[]"
+        yield rest
 
 
 def _half(t: MapTable, disagree: np.ndarray) -> np.ndarray:

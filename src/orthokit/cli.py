@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Iterator
 
 from .bitrade import build_bitrade, validate_homogeneous
 from .census import census
@@ -120,15 +121,15 @@ def cmd_verify(args) -> dict:
     }
 
 
-def cmd_bitrade(args) -> str:
+def cmd_bitrade(args) -> Iterator[str]:
     fs = _build_from_args(args)
     pair = distance3_pair(fs, seed=args.seed)
     b = build_bitrade(pair.f, pair.g)
     if not validate_homogeneous(b):
         raise AssertionError("constructed bitrade failed validation")
     if args.format == "csv":
-        return b.render("csv")
-    return b.render("json", homogeneous=True)
+        return b.pieces("csv")
+    return b.pieces("json", homogeneous=True)
 
 
 def cmd_census(args) -> dict:
@@ -224,8 +225,11 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"internal assertion failed: {e}", file=sys.stderr)
         return 3
-    if isinstance(out, str):
-        print(out)
-    else:
-        print(json.dumps(out, indent=2, sort_keys=True))
+    if isinstance(out, dict):
+        out = [json.dumps(out, indent=2, sort_keys=True)]
+    # piece by piece, so a large bitrade is never held as one string; the
+    # bytes are those of print("".join(out))
+    for piece in out:
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
     return 0

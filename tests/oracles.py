@@ -310,6 +310,14 @@ def is_homogeneous_bitrade(q: int, k: int, first, second) -> bool:
     return True
 
 
+def bitrade_csv(first, second) -> str:
+    """A bitrade's CSV text, one "L1,row,col,sym" line per triple of first,
+    then one "L2,..." line per triple of second, built line by line."""
+    lines = [f"L1,{row},{col},{sym}" for row, col, sym in first]
+    lines += [f"L2,{row},{col},{sym}" for row, col, sym in second]
+    return "\n".join(lines)
+
+
 def exp_sequence(of: OracleField, gamma: int) -> list[int]:
     """gamma^0, ..., gamma^(q-2), one multiplication at a time (plain
     integer products mod p over a prime field)."""

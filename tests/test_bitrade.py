@@ -1,5 +1,6 @@
 """Bitrade assembly, the k-homogeneity validator and the text renderer."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -7,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import orthokit.bitrade
 from orthokit import (Bitrade, PreconditionError, Triple, build_bitrade,
                       distance3_pair, linear_map, prime_powers,
                       validate_homogeneous)
 
-from oracles import is_homogeneous_bitrade
+from oracles import bitrade_csv, is_homogeneous_bitrade
 
 #: Every order q <= 64 that has a distance-3 pair.
 PAIR_ORDERS = [(p, r) for p, r, q in prime_powers(64) if q not in (2, 5, 8)]
@@ -220,9 +222,7 @@ def test_validator_rejects_malformed_halves(field):
 
 
 def _csv_lines(b) -> str:
-    lines = [f"L1,{row},{col},{sym}" for row, col, sym in b.first.tolist()]
-    lines += [f"L2,{row},{col},{sym}" for row, col, sym in b.second.tolist()]
-    return "\n".join(lines)
+    return bitrade_csv(b.first.tolist(), b.second.tolist())
 
 
 @pytest.mark.parametrize("p,r", PAIR_ORDERS + [(2, 10)])
@@ -241,3 +241,52 @@ def test_render_empty_halves(field):
     assert b.render("csv") == ""
     with pytest.raises(ValueError, match="format"):
         b.render("xml")
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (2, 4)])
+def test_render_across_block_boundaries(field, monkeypatch, p, r, rows):
+    # halves of 21, 27 and 48 triples: each block size ends some half
+    # exactly on a block boundary (21 = 3 * 7, 48 = 24 * 2, any n = n * 1)
+    b = _pair_bitrade(field, p, r)
+    monkeypatch.setattr(orthokit.bitrade, "CHUNK", rows)
+    assert b.render("json", homogeneous=True) == json.dumps(
+        b.to_json() | {"homogeneous": True}, indent=2, sort_keys=True)
+    assert b.render("csv") == _csv_lines(b)
+    blocks = -(-len(b.first) // rows)
+    assert len(list(b.pieces("csv"))) == 2 * blocks + 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_refuses_codes_outside_the_field(field, fmt):
+    b = _pair_bitrade(field, 7, 1)
+    too_big = b.first.copy()
+    too_big[5, 1] = 7
+    negative = b.second.copy()
+    negative[0, 2] = -1
+    for case in (replace(b, first=too_big), replace(b, second=negative)):
+        # refused on the call, before a single piece is made
+        with pytest.raises(ValueError, match=r"outside \[0, 7\)"):
+            case.pieces(fmt)
+        with pytest.raises(ValueError, match="outside"):
+            case.render(fmt)
+
+
+#: sha256 of the stdout of `orthokit bitrade P R --format F`, taken when the
+#: triples were still written through a %d template.
+STDOUT_SHA256 = {
+    (2, 15, "json"): "a7060b1e32dbbcd0ab9aa51d2c1d8f954577ea38fe3095764912ddbe6aee08f2",
+    (2, 15, "csv"): "41f5d372353564e1c36441825fa6d8eef724fa41369b1c3a0550df05e5069145",
+    (3, 9, "json"): "ccf28c1657ac23cdfadff85440602dc8c146ba2bfb902843e2e3d42466f415ea",
+    (3, 9, "csv"): "85f00dc1e6c476b446318500e3d69a660a5df97cf55bc1b363f3e9c041ec9a41",
+}
+
+
+@pytest.mark.parametrize("p,r", [(2, 15), (3, 9)])
+def test_large_field_stdout_bytes_are_pinned(capsys, p, r):
+    from orthokit.cli import main
+    for fmt in ("json", "csv"):
+        assert main(["bitrade", str(p), str(r), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[
+            p, r, fmt]

@@ -1,14 +1,17 @@
 """End-to-end command-line runs: payload schemas, exit codes, determinism."""
 
 import json
+import sys
 import time
 
 import pytest
 
-from orthokit import (build_field, distance3_pair, interpolate, is_irregular,
-                      is_orthomorphism, map_table, max_degree_orthomorphism,
-                      prime_powers, tabulate)
+from orthokit import (build_bitrade, build_field, distance3_pair, interpolate,
+                      is_irregular, is_orthomorphism, map_table,
+                      max_degree_orthomorphism, prime_powers, tabulate)
 from orthokit.cli import VERIFY_CAP, main
+
+from oracles import bitrade_csv
 
 
 def run(capsys, *argv):
@@ -264,6 +267,36 @@ def test_bitrade_csv(capsys):
     assert all(line.split(",")[0] in ("L1", "L2") for line in lines)
     assert all(len(line.split(",")) == 4 for line in lines)
     assert sum(1 for line in lines if line.startswith("L1,")) == 9
+
+
+class WriteOnly:
+    """A stdout with write and flush only, like the benchmark's capture."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, s):
+        self.parts.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bitrade_streams_through_write_only_stdout(monkeypatch, fmt):
+    out = WriteOnly()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["bitrade", "7", "1", "--format", fmt]) == 0
+    pair = distance3_pair(build_field(7, 1))
+    b = build_bitrade(pair.f, pair.g)
+    if fmt == "json":
+        expected = json.dumps(b.to_json() | {"homogeneous": True}, indent=2,
+                              sort_keys=True)
+    else:
+        expected = bitrade_csv(b.first.tolist(), b.second.tolist())
+    assert "".join(out.parts) == expected + "\n"
+    assert len(out.parts) > 2
 
 
 def test_census_payload(capsys):
