@@ -7,7 +7,7 @@ import argparse
 import json
 import time
 
-from orthokit import build_field, distance3_pair, interpolate, prime_powers
+from orthokit import build_field, distance3_pair, prime_powers, reduced_degree
 
 
 def main():
@@ -31,8 +31,8 @@ def main():
         rows.append({
             "q": q, "p": p, "r": r,
             "provenance": pair.provenance,
-            "deg_f": interpolate(pair.f).degree,
-            "deg_g": interpolate(pair.g).degree,
+            "deg_f": reduced_degree(pair.f),
+            "deg_g": reduced_degree(pair.g),
             "seconds": round(dt, 4),
         })
     total = time.perf_counter() - t_all

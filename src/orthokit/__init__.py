@@ -14,7 +14,7 @@ from .ortho import (CyclotomicProfile, MapTable, cyclotomic_map,
                     is_orthomorphism, is_permutation, linear_map, map_table,
                     translate)
 from .polyops import (ReducedPoly, evaluate, hamming_distance, interpolate,
-                      reduced_degree, reduced_poly, tabulate)
+                      interpolate_delta, reduced_degree, reduced_poly, tabulate)
 from .construct import (OrthoPair, complete_partial, cubic_unique_root,
                         distance3_pair, even_char_theta, even_irregular_witness,
                         lift_subfield_pair, linearized_pair, max_degree_member,
@@ -34,7 +34,7 @@ __all__ = [
     "difference_map", "is_irregular", "is_orthomorphism", "is_permutation",
     "linear_map", "map_table", "translate",
     "ReducedPoly", "evaluate", "hamming_distance", "interpolate",
-    "reduced_degree", "reduced_poly", "tabulate",
+    "interpolate_delta", "reduced_degree", "reduced_poly", "tabulate",
     "OrthoPair", "complete_partial", "cubic_unique_root", "distance3_pair",
     "even_char_theta", "even_irregular_witness", "lift_subfield_pair",
     "linearized_pair", "max_degree_member", "max_degree_orthomorphism",

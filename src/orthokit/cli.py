@@ -19,18 +19,21 @@ from .census import census
 from .construct import distance3_pair, even_irregular_witness, max_degree_member
 from .errors import PreconditionError, SearchExhaustedError
 from .gf import FieldSpec, build_field, field_from_json, json_int
-from .ortho import (cyclotomic_profile, is_irregular, is_orthomorphism,
-                    is_permutation, map_table)
-from .polyops import interpolate, reduced_degree, reduced_poly, tabulate
+from .ortho import (_is_irregular, cyclotomic_profile, difference_map,
+                    is_irregular, is_permutation, map_table)
+from .polyops import (interpolate, interpolate_delta, reduced_degree,
+                      reduced_poly, tabulate)
 
 
-#: Largest field order verify accepts.  Interpolating the map takes O(q^2)
-#: time: on a 2-core machine, verify --map of a random permutation took 50 s
-#: at 3^10 and 35 s at 2^16, the slowest orders at or below this cap, and
-#: 64 s at 5^7.  The irregularity check is O(q), except for the maps whose
-#: degree certificate is inconclusive (see ortho), which it scans in O(q^2).
-#: Larger orders are refused before the field is built, which alone takes
-#: seconds near 2^20.
+#: Largest field order verify accepts.  verify --map reads the reduced
+#: degree D top-down in O(q * (q - D)) time, a full O(q^2) transform only
+#: for maps of low degree: on a 2-core machine an affine map took 36 s at
+#: 2^16 and 48 s at 3^10, a random permutation under half a second.
+#: verify --poly tabulates in O(q * nnz) for nnz nonzero coefficients, 37 s
+#: for a full-degree polynomial at 2^16.  The irregularity check is O(q),
+#: except for the maps whose degree certificate is inconclusive (see ortho),
+#: which it scans in O(q^2).  Larger orders are refused before the field is
+#: built, which alone takes seconds near 2^20.
 VERIFY_CAP = 2**16
 
 
@@ -64,14 +67,15 @@ def cmd_field(args) -> dict:
 def cmd_pair(args) -> dict:
     fs = _build_from_args(args)
     pair = distance3_pair(fs, seed=args.seed)
+    f_poly = interpolate(pair.f)
     return {
         "field": fs.to_json(),
         "f": pair.f.to_json(),
         "g": pair.g.to_json(),
         "distance": pair.distance,
         "provenance": pair.provenance,
-        "f_poly": interpolate(pair.f).to_json(),
-        "g_poly": interpolate(pair.g).to_json(),
+        "f_poly": f_poly.to_json(),
+        "g_poly": interpolate_delta(f_poly, pair.f, pair.g).to_json(),
     }
 
 
@@ -111,13 +115,14 @@ def cmd_verify(args) -> dict:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise PreconditionError(f"malformed input document: {e!r}")
-    ortho = is_orthomorphism(t)
+    perm = is_permutation(t)
+    ortho = perm and is_permutation(difference_map(t))
     return {
-        "permutation": is_permutation(t),
+        "permutation": perm,
         "orthomorphism": ortho,
         "reduced_degree": degree,
         "cyclotomic_min_index": cyclotomic_profile(t).min_index,
-        "irregular": is_irregular(t) if ortho else None,
+        "irregular": _is_irregular(t) if ortho else None,
     }
 
 

@@ -286,4 +286,9 @@ def is_irregular(t: MapTable) -> bool:
     """True when no translation of t is cyclotomic of any proper index."""
     if not is_orthomorphism(t):
         raise PreconditionError("irregularity is defined for orthomorphisms only")
+    return _is_irregular(t)
+
+
+def _is_irregular(t: MapTable) -> bool:
+    """is_irregular for a map its caller has checked is an orthomorphism."""
     return bool(_irregular(t.field, _array(t)[None])[0])

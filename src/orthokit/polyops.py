@@ -8,8 +8,12 @@ denominators ever need inverting.  In logarithms that is a sum of
 gamma^(a_k + j * m_k) over the nodes, the same transform that evaluates a
 polynomial at every gamma^i, so interpolate and tabulate share one chunked
 array routine: O(q^2) field additions, done by numpy on the field's array
-kernel.  The independent reference both are tested against is the textbook
-Lagrange interpolation in tests/oracles.py.
+kernel.  Row e of the interpolation transform is coefficient q - 1 - e, so
+reduced_degree reads rows from x^(q-1) down until the leading coefficient,
+O(q * (q - D)) for degree D, and interpolate_delta updates a polynomial for
+a map changed at k points in O(k * q).  The independent reference all of
+them are tested against is the textbook Lagrange interpolation in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -62,19 +66,22 @@ def evaluate(f: ReducedPoly, x: int) -> int:
     return acc
 
 
-def _power_sums(fs: FieldSpec, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """out[i] = sum over j of gamma^(a[j] + i * m[j]) for i in [0, q - 1)."""
+def _power_sums(fs: FieldSpec, a: np.ndarray, m: np.ndarray,
+                lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """out[i - lo] = sum over j of gamma^(a[j] + i * m[j]) for the rows i in
+    [lo, hi), hi defaulting to q - 1."""
     q1 = fs.q - 1
-    out = np.zeros(q1, dtype=np.int64)
+    hi = q1 if hi is None else hi
+    out = np.zeros(hi - lo, dtype=np.int64)
     if not len(a):
         return out
     exp = fs.exp_array
     step = max(1, CHUNK // len(a))
-    for lo in range(0, q1, step):
-        idx = np.arange(lo, min(lo + step, q1), dtype=np.int64)[:, None] * m
+    for start in range(lo, hi, step):
+        idx = np.arange(start, min(start + step, hi), dtype=np.int64)[:, None] * m
         idx += a
         idx %= q1
-        out[lo:lo + step] = fs.sum_array(exp[idx], axis=1)
+        out[start - lo:start - lo + step] = fs.sum_array(exp[idx], axis=1)
     return out
 
 
@@ -95,28 +102,83 @@ def tabulate(f: ReducedPoly) -> MapTable:
     return MapTable(fs, tuple(vals.tolist()))
 
 
-def interpolate(t: MapTable) -> ReducedPoly:
-    """The unique reduced polynomial agreeing with t on every element."""
-    fs = t.field
-    q = fs.q
+def _table(t: MapTable) -> np.ndarray:
+    q = t.field.q
     if len(t.values) != q:
         raise PreconditionError("table must have exactly q entries")
-    t0 = t.values[0]
-    ty = np.array(t.values, dtype=np.int64)[fs.exp_array]  # t(gamma^k)
+    return np.fromiter(t.values, np.int64, q)
+
+
+def _nodes(fs: FieldSpec, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(v(0), a, k) for the table v: the nonzero nodes gamma^k and
+    a = log(-v(gamma^k)).  Row e of _power_sums(fs, a, k) is then
+    coefficient q - 1 - e of the reduced polynomial for 1 <= e < q - 1, and
+    row 0 minus v(0) is coefficient q - 1: node gamma^k adds
+    -v(gamma^k) * gamma^(k * e) there, and node 0 adds v(0) * (1 - x^(q-1))."""
+    ty = v[fs.exp_array]
     k = np.flatnonzero(ty)
-    # node gamma^k adds -t(gamma^k) * gamma^(-k * j) to coefficient j >= 1;
-    # j = q - 1 is row 0 of the transform, since gamma^(q-1) == 1
-    s = _power_sums(fs, fs.log_array[fs.sub_array(0, ty[k])], -k)
+    return int(v[0]), fs.log_array[fs.sub_array(0, ty[k])], k
+
+
+def _coeffs(fs: FieldSpec, v: np.ndarray) -> np.ndarray:
+    """All q coefficients of the reduced polynomial of the table v."""
+    q = fs.q
+    t0, a, k = _nodes(fs, v)
+    s = _power_sums(fs, a, k)
     coeffs = np.empty(q, dtype=np.int64)
     coeffs[0] = t0
-    coeffs[1:q - 1] = s[1:]
-    # node 0 contributes t(0) * (1 - x^(q-1))
+    coeffs[1:q - 1] = s[:0:-1]
     coeffs[q - 1] = fs.sub(int(s[0]), t0)
-    return ReducedPoly(fs, _trimmed(coeffs))
+    return coeffs
+
+
+def interpolate(t: MapTable) -> ReducedPoly:
+    """The unique reduced polynomial agreeing with t on every element."""
+    return ReducedPoly(t.field, _trimmed(_coeffs(t.field, _table(t))))
+
+
+#: Rows of the transform reduced_degree reads first; each later block
+#: doubles, so a map of degree D costs O(q * (q - D)) and a map of degree 1
+#: about one full transform.
+_FIRST_ROWS = 8
 
 
 def reduced_degree(t: MapTable) -> int | None:
-    return interpolate(t).degree
+    """interpolate(t).degree, read from x^(q-1) downward: only the rows of
+    the transform down to the leading coefficient are computed."""
+    fs = t.field
+    q1 = fs.q - 1
+    t0, a, k = _nodes(fs, _table(t))
+    lo, rows = 0, _FIRST_ROWS
+    while lo < q1:
+        s = _power_sums(fs, a, k, lo, min(lo + rows, q1))
+        if lo == 0:
+            s[0] = fs.sub(int(s[0]), t0)
+        nz = np.flatnonzero(s)
+        if len(nz):
+            return q1 - lo - int(nz[0])
+        lo += rows
+        rows *= 2
+    return 0 if t0 else None
+
+
+def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
+    """interpolate(g), given fp = interpolate(f), in O(q) per point where f
+    and g differ.
+
+    Interpolation is linear, so g's polynomial is fp plus that of g - f,
+    whose only nonzero nodes are those points: changing the value at y by
+    delta adds delta * (1 - (x - y)^(q-1)), and over GF(q)
+    (x - y)^(q-1) = sum over j of x^j * y^(q-1-j), one row pass of the
+    transform per point.  y = 0 only touches x^0 and x^(q-1).  fp is
+    trusted, not checked against f."""
+    fs = f.field
+    if not (fs.same_as(g.field) and fs.same_as(fp.field)):
+        raise PreconditionError("maps live over different fields")
+    u, v = _table(f), _table(g)
+    c = np.zeros(fs.q, dtype=np.int64)
+    c[:len(fp.coeffs)] = fp.coeffs
+    return ReducedPoly(fs, _trimmed(fs.add_array(c, _coeffs(fs, fs.sub_array(v, u)))))
 
 
 def hamming_distance(f: MapTable, g: MapTable) -> int:

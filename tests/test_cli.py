@@ -84,6 +84,28 @@ def test_verify_map_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert (code2, doc2) == (code, doc)
 
 
+def test_verify_runs_each_predicate_once(capsys, tmp_path, monkeypatch):
+    from collections import Counter
+
+    from orthokit import cli, ortho
+    f = distance3_pair(build_field(11, 1)).f
+    irregular = is_irregular(f)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(f.to_json()))
+    calls = Counter()
+    for name in ("is_permutation", "difference_map"):
+        def counted(t, fn=getattr(ortho, name), name=name):
+            calls[name] += 1
+            return fn(t)
+        monkeypatch.setattr(ortho, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert code == 0 and doc["orthomorphism"] is True
+    assert doc["irregular"] == irregular
+    # the map and its difference map, each tested once
+    assert calls == {"is_permutation": 2, "difference_map": 1}
+
+
 def test_verify_poly_path(capsys, tmp_path):
     fs = build_field(7, 1)
     payload = {"field": fs.to_json(), "coeffs": [0, 3]}

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit import (PreconditionError, evaluate, hamming_distance,
-                      interpolate, linear_map, map_table, reduced_degree,
+from orthokit import (MapTable, PreconditionError, distance3_pair, evaluate,
+                      hamming_distance, interpolate, interpolate_delta,
+                      linear_map, map_table, prime_powers, reduced_degree,
                       reduced_poly, tabulate)
+from orthokit import polyops
 
-from oracles import OracleField, hamming, lagrange_interpolate, poly_degree
+from oracles import (OracleField, hamming, lagrange_interpolate, poly_degree,
+                     tabulate_poly)
 
 
 def test_linear_map_interpolates_to_degree_one(field):
@@ -127,3 +130,141 @@ def test_hamming_distance_matches_oracle(field, p, r):
             v[x] = (v[x] + 1 + rng.randrange(fs.q - 1)) % fs.q
         got = hamming_distance(map_table(fs, u), map_table(fs, v))
         assert got == hamming(u, v) == flips
+
+
+def _degree_maps(fs, rng):
+    """(values, degree) for the zero map, nonzero constants and affine maps,
+    whose degrees are known, and (values, None) for random maps and
+    permutations, whose degree the oracles settle."""
+    q = fs.q
+    maps = [([0] * q, None), ([1] * q, 0), ([q - 1] * q, 0)]
+    for a, b in ((1, 0), (q - 1, 1), (rng.randrange(1, q), rng.randrange(q))):
+        maps.append(([fs.add(fs.mul(a, x), b) for x in range(q)], 1))
+    for _ in range(2):
+        maps.append(([rng.randrange(q) for _ in range(q)], "oracle"))
+        perm = list(range(q))
+        rng.shuffle(perm)
+        maps.append((perm, "oracle"))
+    return maps
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r, _ in prime_powers(64)])
+def test_reduced_degree_matches_interpolate_and_oracle(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    q = fs.q
+    rng = random.Random(q)
+    for vals, want in _degree_maps(fs, rng):
+        t = map_table(fs, vals)
+        poly = interpolate(t)
+        if want == "oracle":
+            # degree < q and agreement everywhere pin the interpolant down
+            assert tabulate_poly(of, poly.coeffs) == vals
+            want = poly.degree
+        assert reduced_degree(t) == poly.degree == want
+    # one textbook Lagrange interpolation per field, on a map with three
+    # nonzero values, 0 among the nodes
+    vals = [0] * q
+    for x in {0, 1 % q, q - 1}:
+        vals[x] = rng.randrange(1, q)
+    t = map_table(fs, vals)
+    assert reduced_degree(t) == poly_degree(lagrange_interpolate(of, vals))
+
+
+def _block_edges(q):
+    """Degrees within 1 of each boundary of reduced_degree's row blocks
+    (8, 16, 32, ... rows from x^(q-1) down), and the extremes."""
+    edges, rows, block = {0, 1, 2, q - 2, q - 1}, 0, 8
+    while rows < q - 1:
+        rows += block
+        block *= 2
+        edges |= {q - 1 - rows + d for d in (-1, 0, 1)}
+    return sorted(d for d in edges if 0 <= d < q)
+
+
+@pytest.mark.parametrize("p,r", [(61, 1), (2, 6), (3, 4), (5, 3), (2, 10),
+                                 (1019, 1)])
+def test_reduced_degree_at_block_boundaries(field, p, r):
+    fs = field(p, r)
+    rng = random.Random(fs.q)
+    for d in _block_edges(fs.q):
+        coeffs = [rng.randrange(fs.q) for _ in range(d)] + [rng.randrange(1, fs.q)]
+        t = tabulate(reduced_poly(fs, coeffs))
+        assert reduced_degree(t) == d == interpolate(t).degree
+
+
+def test_reduced_degree_reads_only_the_top_rows(field, monkeypatch):
+    fs = field(2, 10)
+    rows = []
+    power_sums = polyops._power_sums
+
+    def counting(fs, a, m, lo=0, hi=None):
+        out = power_sums(fs, a, m, lo, hi)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(polyops, "_power_sums", counting)
+    rng = random.Random(4)
+    for d in (fs.q - 1, fs.q - 3, fs.q - 40, 1):
+        coeffs = [rng.randrange(fs.q) for _ in range(d)] + [1]
+        t = tabulate(reduced_poly(fs, coeffs))
+        rows.clear()
+        assert reduced_degree(t) == d
+        # whole doubling blocks: at most twice the rows above the leading
+        # term, plus the first block
+        assert sum(rows) <= min(2 * (fs.q - 1 - d) + 8, fs.q - 1)
+
+
+def test_reduced_degree_rejects_wrong_length(field):
+    fs = field(7, 1)
+    for vals in ((0,) * 6, (0,) * 8):
+        with pytest.raises(PreconditionError):
+            reduced_degree(MapTable(fs, vals))
+        with pytest.raises(PreconditionError):
+            interpolate(MapTable(fs, vals))
+
+
+@pytest.mark.parametrize("p,r", [(61, 1), (3, 3), (5, 3), (2, 6)])
+def test_interpolate_delta_synthetic_pairs(field, p, r):
+    fs = field(p, r)
+    q = fs.q
+    rng = random.Random(q + 1)
+    for k in (0, 1, 3, 7):
+        for with_zero in (False, True):
+            f = [rng.randrange(q) for _ in range(q)]
+            points = rng.sample(range(1, q), k)
+            if with_zero and k:
+                points[0] = 0
+            g = list(f)
+            for y in points:
+                g[y] = (g[y] + rng.randrange(1, q)) % q
+            ft, gt = map_table(fs, f), map_table(fs, g)
+            assert hamming_distance(ft, gt) == k
+            assert interpolate_delta(interpolate(ft), ft, gt) == interpolate(gt)
+
+
+def test_interpolate_delta_point_zero_touches_two_terms(field):
+    fs = field(13, 1)
+    f = linear_map(fs, 2)
+    g = map_table(fs, (5,) + f.values[1:])
+    # 2x + 5 * (1 - x^12)
+    assert interpolate_delta(interpolate(f), f, g).coeffs == (5, 2) + (0,) * 10 + (8,)
+
+
+def test_interpolate_delta_rejects_mixed_fields(field):
+    fs, other = field(7, 1), field(7, 1, None, 5)
+    f = linear_map(fs, 2)
+    with pytest.raises(PreconditionError):
+        interpolate_delta(interpolate(f), f, linear_map(other, 3))
+    with pytest.raises(PreconditionError):
+        interpolate_delta(interpolate(linear_map(other, 2)), f, f)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_interpolate_delta_on_every_pair(field, seed):
+    for p, r, q in prime_powers(343):
+        if q in (2, 5, 8):
+            continue
+        pair = distance3_pair(field(p, r), seed=seed)
+        got = interpolate_delta(interpolate(pair.f), pair.f, pair.g)
+        assert got == interpolate(pair.g), q
