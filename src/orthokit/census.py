@@ -72,13 +72,14 @@ def _value_tuples(spec: FieldSpec) -> np.ndarray:
 
 
 def enumerate_orthomorphisms(spec: FieldSpec) -> Iterator[MapTable]:
-    """All orthomorphisms of GF(q), q <= 13, in lexicographic table order."""
+    """All orthomorphisms of GF(q), q <= 13, in lexicographic table order,
+    each a MapTable over one row of a sorted shifted table, not a copy."""
     tables = _value_tuples(spec)
     # t + c has first value c, so each shift is one run of the order
     for c in range(spec.q):
         shifted = spec.add_array(tables, c)
-        for vals in shifted[np.lexsort(shifted.T[::-1])].tolist():
-            yield MapTable(spec, tuple(vals))
+        for vals in shifted[np.lexsort(shifted.T[::-1])]:
+            yield MapTable(spec, vals)
 
 
 def _degree_histogram(spec: FieldSpec, tables: np.ndarray) -> dict[int, int]:

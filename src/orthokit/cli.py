@@ -25,10 +25,11 @@ from .polyops import (interpolate, interpolate_delta, reduced_degree,
                       reduced_poly, tabulate)
 
 
-#: Largest field order verify accepts.  verify --map reads the reduced
-#: degree D top-down in O(q * (q - D)) time, a full O(q^2) transform only
-#: for maps of low degree: on a 2-core machine an affine map took 36 s at
-#: 2^16 and 48 s at 3^10, a random permutation under half a second.
+#: Largest field order verify accepts.  verify --map settles an affine map
+#: in O(q) and reads any other reduced degree D top-down in O(q * (q - D))
+#: time, about a full O(q^2) transform for maps of low degree D >= 2:
+#: on a 2-core machine an affine map took 0.64 s at 2^16 end to end (44 s
+#: when it cost a full transform), a random permutation 0.55 s.
 #: verify --poly tabulates in O(q * nnz) for nnz nonzero coefficients, 37 s
 #: for a full-degree polynomial at 2^16.  The irregularity check is O(q),
 #: except for the maps whose degree certificate is inconclusive (see ortho),

@@ -83,11 +83,11 @@ def swap_distance3(theta: MapTable, b: int, c: int) -> MapTable:
         raise PreconditionError("theta(c) must equal c - b")
     if not is_orthomorphism(theta):
         raise PreconditionError("theta is not an orthomorphism")
-    vals = list(theta.values)
+    vals = theta.values.copy()
     vals[0] = fs.sub(c, b)
     vals[c] = c
     vals[b] = 0
-    phi = MapTable(fs, tuple(vals))
+    phi = MapTable(fs, vals)
     if not (is_orthomorphism(phi) and hamming_distance(theta, phi) == 3):
         raise AssertionError("swap did not give an orthomorphism at distance 3")
     return phi
@@ -111,8 +111,8 @@ def lift_subfield_pair(spec: FieldSpec, phi: MapTable, theta: MapTable) -> Ortho
     # Prime-subfield elements are exactly the codes below p, and their
     # arithmetic agrees with Z_p, so the small tables transfer verbatim.
     doubled = linear_map(spec, 2).values[p:]
-    f = MapTable(spec, phi.values + doubled)
-    g = MapTable(spec, theta.values + doubled)
+    f = MapTable(spec, np.concatenate((phi.values, doubled)))
+    g = MapTable(spec, np.concatenate((theta.values, doubled)))
     return _verified_pair(f, g, NON25)
 
 
@@ -287,7 +287,7 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
         if done == "infeasible":
             break  # the whole space was explored: no restart can help
         if done is not None:
-            t = MapTable(spec, tuple(done))
+            t = MapTable(spec, done)
             if not is_orthomorphism(t):
                 raise AssertionError(
                     f"completion over GF({q}) produced a non-orthomorphism")
@@ -318,10 +318,9 @@ def even_char_theta(spec: FieldSpec, a: int, c: int) -> MapTable:
     if not 0 <= c < spec.q or 0 in block:
         raise PreconditionError("c must lie outside {0, 1, a, a+1}")
     shift = spec.mul(a, a ^ 1)
-    vals = list(linear_map(spec, a).values)
-    for x in block:
-        vals[x] ^= shift
-    t = MapTable(spec, tuple(vals))
+    vals = linear_map(spec, a).values.copy()
+    vals[list(block)] ^= shift
+    t = MapTable(spec, vals)
     if t[0] != 0 or not is_orthomorphism(t):
         raise AssertionError(
             f"theta_a over GF({spec.q}) with a={a}, c={c} is not a "
@@ -359,10 +358,10 @@ def pair_even_odd_power(spec: FieldSpec) -> OrthoPair:
     else:
         raise AssertionError("no admissible c below q")
     cp1 = c ^ 1
-    cubic = tabulate(ReducedPoly(spec, (c, c, cp1, 1))).values
-    if 0 not in cubic:
+    roots = np.flatnonzero(tabulate(ReducedPoly(spec, (c, c, cp1, 1))).values == 0)
+    if not len(roots):
         raise AssertionError("selection cubic has no root")
-    a = cubic.index(0)
+    a = int(roots[0])
     if a in (0, 1, c, cp1):
         raise AssertionError("cubic root collides with the coset block")
     theta = even_char_theta(spec, a, c)
@@ -393,11 +392,10 @@ def pair_f125(spec: FieldSpec | None = None) -> OrthoPair:
     a = 25                 # y^2
     b = fs.add(a, 4)       # y^2 + 4
     f = _linearized(fs, b)
-    vals = f.values
-    c = vals[a]
-    if not (fs.log_table[b] == 75 and vals[0] == 0 and c == 103
-            and vals[103] == 78 and fs.exp_table[118] == 103
-            and fs.exp_table[40] == 78 and vals[c] == fs.sub(c, a)):
+    c = f[a]
+    if not (fs.log_table[b] == 75 and f[0] == 0 and c == 103
+            and f[103] == 78 and fs.exp_table[118] == 103
+            and fs.exp_table[40] == 78 and f[c] == fs.sub(c, a)):
         raise AssertionError("GF(125) witness left its pinned codes")
     phi = swap_distance3(f, a, c)
     return _verified_pair(f, phi, F125)
@@ -414,7 +412,7 @@ def linearized_pair(fs: FieldSpec) -> OrthoPair:
     q = fs.q
     quartic = fs.log_array % 4 == 0  # the nonzero fourth powers
     ok = ~quartic & ~quartic[fs.add_array(np.arange(q), 1)]  # f is an orthomorphism
-    x5 = np.array(_linearized(fs, 0).values, dtype=np.int64)
+    x5 = _linearized(fs, 0).values
     a = np.arange(1, q, dtype=np.int64)
     for b in chain([fs.sub_array(a, 1)], np.flatnonzero(ok)):
         b = np.broadcast_to(b, a.shape)
@@ -450,7 +448,7 @@ def _prime_pair(fs: FieldSpec, seed: int) -> OrthoPair:
     p = fs.q
     if p == 3:
         f = linear_map(fs, 2)
-        g = MapTable(fs, tuple(fs.add(fs.mul(2, x), 1) for x in range(3)))
+        g = MapTable(fs, [fs.add(fs.mul(2, x), 1) for x in range(3)])
         return _verified_pair(f, g, PRIME3)
     if p % 3 == 1:
         return near_linear_pair(fs)
@@ -506,7 +504,7 @@ def max_degree_member(spec: FieldSpec, seed: int = 0) -> MapTable:
             f"no orthomorphism of reduced degree q-3 exists over GF({spec.q})")
     pair = distance3_pair(spec, seed)
     for t in (pair.f, pair.g):
-        if _power_sum(spec, np.array(t.values, dtype=np.int64), 2) != 0:
+        if _power_sum(spec, t.values, 2) != 0:
             return t
     raise AssertionError("distance-3 pair with no degree q-3 member")
 

@@ -1,5 +1,9 @@
 """Maps of a finite field as value tables.
 
+A MapTable holds its values as one read-only int64 array indexed by element
+code; the routines here and in polyops, construct, bitrade and census read
+and build that array directly, with no conversion per call.
+
 Permutation and orthomorphism tests, translations, cyclotomic maps, the
 minimal proper cyclotomic index of a map, and the irregularity decision.
 The predicates, difference_map, translate and cyclotomic_profile are O(q)
@@ -32,60 +36,83 @@ from .errors import PreconditionError
 from .gf import CHUNK, FieldSpec, distinct_prime_factors, json_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapTable:
-    """A total map F_q -> F_q; values[x] is the image of the code x."""
+    """A total map F_q -> F_q; values[x] is the image of the code x.
+
+    values is one read-only int64 array of shape (q,).  The constructor
+    takes any integer array-like of q codes in [0, q) and refuses anything
+    else; an int64 ndarray is held as it is, without a copy, and made
+    read-only, so whoever built it must not write to it through another
+    view.  Tables compare and hash by field and values."""
 
     field: FieldSpec
-    values: tuple[int, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values)
+        q = self.field.q
+        # a negative code would wrap silently in the scatters and gathers
+        # every array routine does, so the range is checked here, once
+        if (v.shape != (q,) or v.dtype.kind not in "iu"
+                or v.min() < 0 or v.max() >= q):
+            raise PreconditionError(
+                f"a map over GF({q}) needs exactly q values with codes in [0, q)")
+        v = v.astype(np.int64, copy=False)
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     def __getitem__(self, x: int) -> int:
-        return self.values[x]
+        return int(self.values[x])
 
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MapTable):
+            return NotImplemented
+        return (self.field.same_as(other.field)
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        fs = self.field
+        return hash((fs.p, fs.r, fs.modulus, fs.gamma, self.values.tobytes()))
+
     def to_json(self) -> dict:
-        return {"field": self.field.to_json(), "values": list(self.values)}
+        return {"field": self.field.to_json(), "values": self.values.tolist()}
 
 
 def map_table(field: FieldSpec, values) -> MapTable:
     """Validated MapTable constructor for external data."""
-    vals = tuple(json_int(v, "map value") for v in values)
-    if len(vals) != field.q or any(not 0 <= v < field.q for v in vals):
-        raise PreconditionError(
-            f"a map over GF({field.q}) needs exactly q values with codes in [0, q)")
-    return MapTable(field, vals)
+    return MapTable(field, [json_int(v, "map value") for v in values])
 
 
 def linear_map(field: FieldSpec, a: int) -> MapTable:
     if a == 0:
-        return MapTable(field, (0,) * field.q)
+        return MapTable(field, np.zeros(field.q, dtype=np.int64))
     return scaled_map(field, field.log_table[a])
 
 
 def scaled_map(field: FieldSpec, log_c) -> MapTable:
     """x -> gamma^log_c(x) * x, with log_c an int or an array over the
-    codes 1..q-1.  The values are the int objects of exp_table, so a table
-    holds q references rather than q new ints."""
-    idx = (field.log_array[1:] + log_c) % (field.q - 1)
-    return MapTable(field, (0,) + tuple(map(field.exp_table.__getitem__, idx.tolist())))
+    codes 1..q-1: one gather from exp_array, behind the 0 at code 0."""
+    vals = np.zeros(field.q, dtype=np.int64)
+    vals[1:] = field.exp_array[(field.log_array[1:] + log_c) % (field.q - 1)]
+    return MapTable(field, vals)
 
 
 def is_permutation(t: MapTable) -> bool:
-    """Whether the values are pairwise distinct."""
-    return len(set(t.values)) == len(t.values)
-
-
-def _array(t: MapTable) -> np.ndarray:
-    return np.array(t.values, dtype=np.int64)
+    """Whether the values are pairwise distinct: one scatter of the q
+    codes, which hits all q slots exactly when no two collide."""
+    hit = np.zeros(len(t.values), dtype=bool)
+    hit[t.values] = True
+    return bool(hit.all())
 
 
 def difference_map(t: MapTable) -> MapTable:
     """x -> t(x) - x, the second permutation an orthomorphism must induce."""
     fs = t.field
-    d = fs.sub_array(_array(t), np.arange(len(t.values), dtype=np.int64))
-    return MapTable(fs, tuple(d.tolist()))
+    return MapTable(fs, fs.sub_array(t.values, np.arange(fs.q, dtype=np.int64)))
 
 
 def is_orthomorphism(t: MapTable) -> bool:
@@ -96,9 +123,9 @@ def translate(t: MapTable, g: int) -> MapTable:
     """T_g: x -> t(x + g) - t(g).  Maps orthomorphisms to orthomorphisms
     and always fixes 0."""
     fs = t.field
-    v = _array(t)
+    v = t.values
     shifted = v[fs.add_array(np.arange(fs.q, dtype=np.int64), g)]
-    return MapTable(fs, tuple(fs.sub_array(shifted, v[g]).tolist()))
+    return MapTable(fs, fs.sub_array(shifted, v[g]))
 
 
 def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
@@ -113,7 +140,7 @@ def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
     vals = np.zeros(q, dtype=np.int64)
     exp = field.exp_array
     vals[exp] = field.mul_array(np.array(cs, dtype=np.int64)[np.arange(q - 1) % n], exp)
-    return MapTable(field, tuple(vals.tolist()))
+    return MapTable(field, vals)
 
 
 @dataclass(frozen=True)
@@ -148,7 +175,7 @@ def cyclotomic_profile(t: MapTable) -> CyclotomicProfile:
     # least one, so dividing q - 1 by each prime while the ratios keep
     # repeating reaches it.
     exp = fs.exp_array
-    ratios = fs.mul_array(_array(t)[exp], exp[-np.arange(q1) % q1])
+    ratios = fs.mul_array(t.values[exp], exp[-np.arange(q1) % q1])
     n = q1
     for ell in distinct_prime_factors(q1):
         while n % ell == 0 and _periodic(ratios, n // ell):
@@ -291,4 +318,4 @@ def is_irregular(t: MapTable) -> bool:
 
 def _is_irregular(t: MapTable) -> bool:
     """is_irregular for a map its caller has checked is an orthomorphism."""
-    return bool(_irregular(t.field, _array(t)[None])[0])
+    return bool(_irregular(t.field, t.values[None])[0])

@@ -10,10 +10,10 @@ polynomial at every gamma^i, so interpolate and tabulate share one chunked
 array routine: O(q^2) field additions, done by numpy on the field's array
 kernel.  Row e of the interpolation transform is coefficient q - 1 - e, so
 reduced_degree reads rows from x^(q-1) down until the leading coefficient,
-O(q * (q - D)) for degree D, and interpolate_delta updates a polynomial for
-a map changed at k points in O(k * q).  The independent reference all of
-them are tested against is the textbook Lagrange interpolation in
-tests/oracles.py.
+O(q * (q - D)) for degree D >= 2 after an O(q) test for degree <= 1, and
+interpolate_delta updates a polynomial for a map changed at k points in
+O(k * q).  The independent reference all of them are tested against is the
+textbook Lagrange interpolation in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -99,14 +99,7 @@ def tabulate(f: ReducedPoly) -> MapTable:
     vals = np.zeros(fs.q, dtype=np.int64)
     vals[fs.exp_array] = _power_sums(fs, fs.log_array[c[j]], j)
     vals[0] = f.coeffs[0] if f.coeffs else 0
-    return MapTable(fs, tuple(vals.tolist()))
-
-
-def _table(t: MapTable) -> np.ndarray:
-    q = t.field.q
-    if len(t.values) != q:
-        raise PreconditionError("table must have exactly q entries")
-    return np.fromiter(t.values, np.int64, q)
+    return MapTable(fs, vals)
 
 
 def _nodes(fs: FieldSpec, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -134,23 +127,30 @@ def _coeffs(fs: FieldSpec, v: np.ndarray) -> np.ndarray:
 
 def interpolate(t: MapTable) -> ReducedPoly:
     """The unique reduced polynomial agreeing with t on every element."""
-    return ReducedPoly(t.field, _trimmed(_coeffs(t.field, _table(t))))
+    return ReducedPoly(t.field, _trimmed(_coeffs(t.field, t.values)))
 
 
 #: Rows of the transform reduced_degree reads first; each later block
-#: doubles, so a map of degree D costs O(q * (q - D)) and a map of degree 1
+#: doubles, so a map of degree D costs O(q * (q - D)) and a map of degree 2
 #: about one full transform.
 _FIRST_ROWS = 8
 
 
 def reduced_degree(t: MapTable) -> int | None:
-    """interpolate(t).degree, read from x^(q-1) downward: only the rows of
-    the transform down to the leading coefficient are computed."""
+    """interpolate(t).degree.  A map of degree <= 1 is t(0) + (t(1) - t(0)) * x,
+    which one O(q) comparison settles; otherwise the transform is read from
+    x^(q-1) downward, only the rows down to the leading coefficient."""
     fs = t.field
     q1 = fs.q - 1
-    t0, a, k = _nodes(fs, _table(t))
+    v = t.values
+    t0 = int(v[0])
+    slope = fs.sub(int(v[1]), t0)
+    codes = np.arange(fs.q, dtype=np.int64)
+    if np.array_equal(fs.add_array(fs.mul_array(codes, slope), t0), v):
+        return 1 if slope else 0 if t0 else None
+    _, a, k = _nodes(fs, v)
     lo, rows = 0, _FIRST_ROWS
-    while lo < q1:
+    while True:  # the degree is at least 2: row q - 3 at the latest
         s = _power_sums(fs, a, k, lo, min(lo + rows, q1))
         if lo == 0:
             s[0] = fs.sub(int(s[0]), t0)
@@ -159,7 +159,6 @@ def reduced_degree(t: MapTable) -> int | None:
             return q1 - lo - int(nz[0])
         lo += rows
         rows *= 2
-    return 0 if t0 else None
 
 
 def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
@@ -175,7 +174,7 @@ def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
     fs = f.field
     if not (fs.same_as(g.field) and fs.same_as(fp.field)):
         raise PreconditionError("maps live over different fields")
-    u, v = _table(f), _table(g)
+    u, v = f.values, g.values
     c = np.zeros(fs.q, dtype=np.int64)
     c[:len(fp.coeffs)] = fp.coeffs
     return ReducedPoly(fs, _trimmed(fs.add_array(c, _coeffs(fs, fs.sub_array(v, u)))))
@@ -184,5 +183,4 @@ def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
 def hamming_distance(f: MapTable, g: MapTable) -> int:
     if not f.field.same_as(g.field):
         raise PreconditionError("maps live over different fields")
-    u, v = (np.fromiter(t.values, np.int64, len(t.values)) for t in (f, g))
-    return int(np.count_nonzero(u != v))
+    return int(np.count_nonzero(f.values != g.values))

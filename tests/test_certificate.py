@@ -79,7 +79,7 @@ def _family(fs, of, rng):
         t = linear_map(fs, a)
         if is_orthomorphism(t):
             b = rng.randrange(q)
-            maps += [t, MapTable(fs, tuple(fs.add(v, b) for v in t.values))]
+            maps += [t, MapTable(fs, tuple(fs.add(v, b) for v in t.values.tolist()))]
     if fs.r > 1:
         # x^p + b*x: degree p, and in odd characteristic ell = 2 survives
         for b in range(2, q):
@@ -107,8 +107,9 @@ def test_certificate_matches_oracle_up_to_64(field):
         of = OracleField(p, r, fs.modulus)
         maps = _family(fs, of, rng)
         for t in maps:
-            assert is_irregular(t) == is_irregular_table(of, t.values), (fs.q, t.values)
-        tables = np.array([t.values for t in maps], dtype=np.int64)
+            assert is_irregular(t) == is_irregular_table(of, t.values.tolist()), \
+                (fs.q, t.values.tolist())
+        tables = np.array([t.values.tolist() for t in maps], dtype=np.int64)
         path, _ = _certify(fs, tables, _period_checks(fs))
         seen |= set(path.tolist())
         low_degree_scan |= any(interpolate(maps[i]).degree <= 1
@@ -123,10 +124,10 @@ def test_p_divides_witnesses(field, p, r):
     t = MapTable(fs, tuple(P_DIVIDES_WITNESSES[p, r]))
     d = interpolate(t).degree
     assert is_orthomorphism(t) and d % p == 0
-    path, irregular = _certify(fs, np.array([t.values]), _period_checks(fs))
+    path, irregular = _certify(fs, np.array([t.values.tolist()]), _period_checks(fs))
     assert path.tolist() == [P_DIVIDES] and irregular.tolist() == [True]
     assert is_irregular(t)
-    assert is_irregular_table(OracleField(p, r, fs.modulus), t.values)
+    assert is_irregular_table(OracleField(p, r, fs.modulus), t.values.tolist())
 
 
 @pytest.mark.parametrize("p,r", [(p, r) for p, r in FIELDS if p**r <= 11])

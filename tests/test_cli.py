@@ -1,5 +1,6 @@
 """End-to-end command-line runs: payload schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 import time
@@ -48,7 +49,7 @@ def test_pair_payload_schema(capsys):
     fs = build_field(7, 1)
     f = map_table(fs, doc["f"]["values"])
     g = map_table(fs, doc["g"]["values"])
-    assert sum(a != b for a, b in zip(f.values, g.values)) == 3
+    assert sum(a != b for a, b in zip(f.values.tolist(), g.values.tolist())) == 3
     assert interpolate(f).coeffs == tuple(doc["f_poly"]["coeffs"])
     assert interpolate(g).coeffs == tuple(doc["g_poly"]["coeffs"])
 
@@ -387,10 +388,10 @@ def test_irregular_max_degree_payload_up_to_343(capsys):
         code, doc = run_json(capsys, "irregular", str(p), str(r))
         assert code == 0 and doc["branch"] == "max-degree", q
         assert doc["degree"] == q - 3
-        assert doc["values"] == list(tabulate(max_degree_orthomorphism(fs)).values), q
+        assert doc["values"] == tabulate(max_degree_orthomorphism(fs)).values.tolist(), q
         pair = distance3_pair(fs)
         first = next(t for t in (pair.f, pair.g) if interpolate(t).degree == q - 3)
-        assert doc["values"] == list(first.values), q
+        assert doc["values"] == first.values.tolist(), q
 
 
 @pytest.mark.slow
@@ -497,3 +498,29 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == 3
+
+
+# sha256 of the stdout of these commands, default gamma and seed 0, as
+# written before MapTable held its values as an array; the bitrade fields
+# are the benchmark's bitrade-large ones
+STDOUT_SHA256 = {
+    ("bitrade", "2", "16"):
+        "6d24412afb30b62d8d7760a9664e285fcdfaa0fe58c1422af72d7e84f95c2cfd",
+    ("bitrade", "2", "15"):
+        "a7060b1e32dbbcd0ab9aa51d2c1d8f954577ea38fe3095764912ddbe6aee08f2",
+    ("bitrade", "3", "9"):
+        "ccf28c1657ac23cdfadff85440602dc8c146ba2bfb902843e2e3d42466f415ea",
+    ("bitrade", "2003", "1"):
+        "32e6e401008cc631c6b463520b3f9be21b1163a0dd49af7ce0edf4e3632633ce",
+    ("pair", "5", "5"):
+        "1c9d03e25df0570ef5e363e08deb2641ea3506a770db27f2892c6f8f7db0af60",
+    ("irregular", "2", "12"):
+        "72ce849eff2751ea549fdbbec4fa89481aaecb8bfb7b828c70fddbe8a9bc608e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+def test_stdout_bytes_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == STDOUT_SHA256[argv]

@@ -1,17 +1,19 @@
 """Map-table verifiers: permutation and orthomorphism predicates,
 translations, cyclotomic structure, irregularity."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from orthokit import (MapTable, PreconditionError, cyclotomic_map,
-                      cyclotomic_profile, difference_map,
+                      cyclotomic_profile, difference_map, distance3_pair,
                       enumerate_orthomorphisms, even_char_theta, is_irregular,
                       is_orthomorphism, is_permutation, linear_map, map_table,
                       translate)
 
-from oracles import OracleField
+from oracles import OracleField, difference_table, is_orthomorphism_table
 
 
 def test_map_table_validation(field):
@@ -22,6 +24,89 @@ def test_map_table_validation(field):
         map_table(fs, [0, 1, 2, 3, 5])  # out of range
     t = map_table(fs, [0, 1, 2, 3, 4])
     assert len(t) == 5 and t[3] == 3
+
+
+def test_map_table_values_are_a_read_only_int64_array(field):
+    fs = field(7, 1)
+    t = map_table(fs, [0, 2, 4, 6, 1, 3, 5])
+    assert isinstance(t.values, np.ndarray)
+    assert t.values.dtype == np.int64 and t.values.shape == (7,)
+    with pytest.raises(ValueError):
+        t.values[0] = 1
+    assert t.values.tolist() == [0, 2, 4, 6, 1, 3, 5]
+    assert type(t[3]) is int and t[3] == 6
+    assert json.loads(json.dumps(t.to_json())) == {
+        "field": fs.to_json(), "values": [0, 2, 4, 6, 1, 3, 5]}
+
+
+def test_map_table_holds_an_int64_array_without_a_copy(field):
+    fs = field(7, 1)
+    vals = np.arange(7, dtype=np.int64)
+    t = MapTable(fs, vals)
+    assert np.shares_memory(t.values, vals)
+    assert not vals.flags.writeable
+    # other integer dtypes are converted
+    u = MapTable(fs, np.arange(7, dtype=np.uint8))
+    assert u.values.dtype == np.int64 and u == t
+
+
+def test_map_table_equality_and_hash(field):
+    fs = field(7, 1)
+    other = field(7, 1, None, 5)  # gamma 5 rather than the default 3
+    a = map_table(fs, [0, 2, 4, 6, 1, 3, 5])
+    b = MapTable(fs, np.array([0, 2, 4, 6, 1, 3, 5]))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    c = MapTable(other, a.values)
+    assert a != c and hash(a) != hash(c)
+    d = map_table(fs, [0, 2, 4, 6, 1, 5, 3])
+    assert a != d and hash(a) != hash(d)
+    assert a != a.values.tolist()
+    # frozen pairs compare and hash through their tables
+    p1, p2 = distance3_pair(field(11, 1)), distance3_pair(field(11, 1))
+    assert p1 == p2 and hash(p1) == hash(p2)
+
+
+@pytest.mark.parametrize("vals", [
+    [0, 1, 2, 3, 4, 5],                           # too short
+    [0, 1, 2, 3, 4, 5, 6, 0],                     # too long
+    np.arange(7, dtype=np.float64),               # float dtype
+    [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],          # float values
+    np.ones(7, dtype=bool),                       # bool dtype
+    [0, 1, 2, 3, 4, 5, -1],                       # a negative code
+    [0, 1, 2, 3, 4, 5, 7],                        # the code q
+    np.arange(7, dtype=np.int64).reshape(7, 1),   # not one axis
+    [2**70] * 7,                                  # beyond int64
+], ids=["short", "long", "float-dtype", "float-values", "bool", "negative",
+        "q", "2-d", "huge"])
+def test_map_table_constructor_refuses(field, vals):
+    with pytest.raises(PreconditionError):
+        MapTable(field(7, 1), vals)
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (2, 6), (3, 4), (1019, 1), (2, 16)])
+def test_array_predicates_match_oracle(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    q = fs.q
+    rng = random.Random(f"predicates:{q}")
+    perm = list(range(q))
+    rng.shuffle(perm)
+    ortho = linear_map(fs, 2).values.tolist()
+    collide = list(perm)
+    collide[rng.randrange(q)] = collide[rng.randrange(q)]
+    swapped = list(ortho)  # a permutation next to an orthomorphism
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    tables = [[rng.randrange(q) for _ in range(q)], perm, ortho, collide,
+              swapped, list(range(q))]
+    for vals in tables:
+        t = map_table(fs, vals)
+        assert is_permutation(t) == (sorted(vals) == list(range(q)))
+        diff = difference_table(of, vals)
+        assert difference_map(t).values.tolist() == diff
+        assert is_permutation(difference_map(t)) == (sorted(diff) == list(range(q)))
+        assert is_orthomorphism(t) == is_orthomorphism_table(of, vals)
+    assert is_orthomorphism(map_table(fs, ortho))
 
 
 def test_basic_predicates(field):
@@ -65,7 +150,7 @@ def test_translate_of_affine_is_linear(field):
     fs = field(7, 1)
     t = map_table(fs, [(2 * x + 5) % 7 for x in range(7)])
     for g in range(7):
-        assert translate(t, g).values == linear_map(fs, 2).values
+        assert translate(t, g).values.tolist() == linear_map(fs, 2).values.tolist()
 
 
 def test_cyclotomic_map_matches_definition(field):
@@ -116,7 +201,7 @@ def test_profile_reconstruction(field):
             assert prof.min_index is not None
             assert n % prof.min_index == 0  # minimality divides any index
             rebuilt = cyclotomic_map(fs, prof.min_index, prof.coeffs)
-            assert rebuilt.values == t.values
+            assert rebuilt.values.tolist() == t.values.tolist()
 
 
 def test_profile_detects_non_cyclotomic(field):

@@ -55,7 +55,7 @@ def test_roundtrip_table_poly_table(field):
         for _ in range(10):
             vals = tuple(rng.randrange(fs.q) for _ in range(fs.q))
             t = map_table(fs, vals)
-            assert tabulate(interpolate(t)).values == vals
+            assert tuple(tabulate(interpolate(t)).values.tolist()) == vals
 
 
 @given(data=st.data())
@@ -215,6 +215,36 @@ def test_reduced_degree_reads_only_the_top_rows(field, monkeypatch):
         assert sum(rows) <= min(2 * (fs.q - 1 - d) + 8, fs.q - 1)
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2)])
+def test_reduced_degree_of_every_affine_map_and_its_neighbours(field, p, r):
+    # every a*x + b, and each one changed at one point, which leaves it
+    # affine only at q = 2
+    fs = field(p, r)
+    q = fs.q
+    for a in range(q):
+        for b in range(q):
+            vals = tabulate(reduced_poly(fs, [b, a])).values.tolist()
+            want = 1 if a else 0 if b else None
+            assert reduced_degree(map_table(fs, vals)) == want
+            x = (a + b) % q
+            vals[x] = (vals[x] + 1) % q
+            t = map_table(fs, vals)
+            assert reduced_degree(t) == interpolate(t).degree
+
+
+def test_reduced_degree_of_an_affine_map_skips_the_transform(field, monkeypatch):
+    fs = field(2, 16)
+    affine = tabulate(reduced_poly(fs, [5, 3]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("affine maps need no transform rows")
+
+    monkeypatch.setattr(polyops, "_power_sums", refuse)
+    assert reduced_degree(affine) == 1
+    assert reduced_degree(map_table(fs, [7] * fs.q)) == 0
+    assert reduced_degree(map_table(fs, [0] * fs.q)) is None
+
+
 def test_reduced_degree_rejects_wrong_length(field):
     fs = field(7, 1)
     for vals in ((0,) * 6, (0,) * 8):
@@ -246,7 +276,7 @@ def test_interpolate_delta_synthetic_pairs(field, p, r):
 def test_interpolate_delta_point_zero_touches_two_terms(field):
     fs = field(13, 1)
     f = linear_map(fs, 2)
-    g = map_table(fs, (5,) + f.values[1:])
+    g = map_table(fs, [5] + f.values[1:].tolist())
     # 2x + 5 * (1 - x^12)
     assert interpolate_delta(interpolate(f), f, g).coeffs == (5, 2) + (0,) * 10 + (8,)
 
