@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Iterator
 
@@ -38,25 +39,34 @@ from .polyops import (interpolate, interpolate_delta, reduced_degree,
 VERIFY_CAP = 2**16
 
 
+def _integer(text: str) -> int:
+    """argparse type for every integer argument: ASCII digits with an
+    optional minus sign, where int() would also take whitespace, "_"
+    separators and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _parse_modulus(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(c) for c in text.split(","))
-    except ValueError:
+        return tuple(_integer(c) for c in text.split(","))
+    except argparse.ArgumentTypeError:
         raise PreconditionError(
             "--modulus wants comma-separated integers, constant term first")
 
 
 def _build_from_args(args) -> FieldSpec:
-    modulus = _parse_modulus(args.modulus) if args.modulus else None
+    modulus = None if args.modulus is None else _parse_modulus(args.modulus)
     return build_field(args.p, args.r, modulus, args.gamma)
 
 
 def _add_field_args(sub) -> None:
-    sub.add_argument("p", type=int, help="field characteristic, a prime")
-    sub.add_argument("r", type=int, help="extension degree")
+    sub.add_argument("p", type=_integer, help="field characteristic, a prime")
+    sub.add_argument("r", type=_integer, help="extension degree")
     sub.add_argument("--modulus", metavar="C0,C1,...,CR",
                      help="monic irreducible modulus, constant term first")
-    sub.add_argument("--gamma", type=int, default=None,
+    sub.add_argument("--gamma", type=_integer, default=None,
                      help="primitive element code (default: smallest)")
 
 
@@ -188,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pair", help="orthomorphism pair at Hamming distance 3")
     _add_field_args(s)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_integer, default=0)
     s.set_defaults(func=cmd_pair)
 
     s = subs.add_parser("verify", help="check a map or polynomial from JSON")
@@ -201,20 +211,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bitrade", help="3-homogeneous bitrade from a distance-3 pair")
     _add_field_args(s)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_integer, default=0)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.set_defaults(func=cmd_bitrade)
 
     s = subs.add_parser("census", help="exhaustive orthomorphism census (q <= 13)")
     _add_field_args(s)
-    s.add_argument("--jobs", type=int, default=1,
+    s.add_argument("--jobs", type=_integer, default=1,
                    help="accepted for compatibility and ignored: the census "
                         "runs in-process (must be a positive integer)")
     s.set_defaults(func=cmd_census)
 
     s = subs.add_parser("irregular", help="construct and verify an irregular orthomorphism")
     _add_field_args(s)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_integer, default=0)
     s.set_defaults(func=cmd_irregular)
 
     return parser

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
 from .gf import CHUNK, FieldSpec, build_field, is_prime
-from .ortho import (MapTable, _power_sum, is_irregular, is_orthomorphism,
+from .ortho import (MapTable, _degrees, is_irregular, is_orthomorphism,
                     linear_map, scaled_map)
 from .polyops import ReducedPoly, hamming_distance, interpolate, tabulate
 
@@ -497,14 +497,15 @@ def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
 def max_degree_member(spec: FieldSpec, seed: int = 0) -> MapTable:
     """The first member of distance3_pair(spec, seed) of reduced degree
     q - 3, the maximum possible; exists for every prime power except 2, 3,
-    5 and 8.  As no orthomorphism has degree above q - 3, that is the first
-    member whose x^(q-3) coefficient is nonzero: one O(q) sum each."""
+    5 and 8.  As no orthomorphism has degree above q - 3, reading both
+    members' top three coefficients, O(q) each, settles it."""
     if spec.q in (2, 3, 5, 8):
         raise NonexistenceError(
             f"no orthomorphism of reduced degree q-3 exists over GF({spec.q})")
     pair = distance3_pair(spec, seed)
-    for t in (pair.f, pair.g):
-        if _power_sum(spec, t.values, 2) != 0:
+    degree = _degrees(spec, np.stack([pair.f.values, pair.g.values]), 3)
+    for t, d in zip((pair.f, pair.g), degree.tolist()):
+        if d == spec.q - 3:
             return t
     raise AssertionError("distance-3 pair with no degree q-3 member")
 

@@ -8,8 +8,9 @@ p == 2); multiplication, inversion and powers go through exp/log tables for
 a fixed primitive element gamma, so each costs a couple of lookups.
 
 Next to the scalar operations, each field carries numpy views of its tables
-(exp_array, log_array, digit_array, built on first use) and elementwise
-add_array / sub_array / mul_array plus a field sum along an axis.  They
+(exp_array, log_array, digit_array, built on first use), elementwise
+add_array / sub_array / mul_array, a field sum along an axis, and
+power_sums, the one kernel for sums of weighted powers of gamma.  They
 follow the same three addition branches as add: mod p for primes, XOR for
 p == 2, digit-wise mod p otherwise.  The map and polynomial routines in
 ortho and polyops run on these, in chunks of about CHUNK elements.
@@ -325,9 +326,6 @@ class FieldSpec:
         """The copy of Z_p inside the field: exactly the codes 0..p-1."""
         return range(self.p)
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def same_as(self, other: "FieldSpec") -> bool:
         return (self.p, self.r, self.modulus, self.gamma) == \
             (other.p, other.r, other.modulus, other.gamma)
@@ -400,13 +398,37 @@ class FieldSpec:
         digits = (partial[..., None] >> (bits * np.arange(self.r))) & ((1 << bits) - 1)
         return self._from_digits(digits.sum(axis=axis % a.ndim, dtype=np.int64))
 
-    def dot_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field sum of a * b along the last axis, b one vector of codes."""
-        if self.r == 1:
-            # plain integers: each product is below p^2 <= 2^40, and at most
-            # q <= 2^20 of them add up, so nothing overflows int64
-            return a @ b % self.p
-        return self.sum_array(self.mul_array(a, b), axis=-1)
+    def power_sums(self, w: np.ndarray, m: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) of the power sums of the nodes gamma^m weighted by
+        the codes w: out[i - lo, ...] is the field sum over j of
+        w[..., j] * gamma^(i * m[j]), batched over the leading axes of w, so
+        out has shape (hi - lo,) + w.shape[:-1].  A zero weight adds
+        nothing; m holds integers >= 0, one per column of w."""
+        q1 = self.q - 1
+        if not w.size or hi == lo:
+            return np.zeros((hi - lo, *w.shape[:-1]), dtype=np.int64)
+        flat = w.reshape(-1, w.shape[-1])
+        if self.r > 1:
+            # in logarithms, read from exp twice over and then zeros: a sum
+            # of two logs needs no reduction, and a zero weight reads 0
+            exp = np.concatenate([self.exp_array, self.exp_array,
+                                  np.zeros(q1, dtype=np.int64)])
+            lw = np.where(flat == 0, 2 * q1, self.log_array[flat])
+        step = max(1, CHUNK // (flat.shape[1] if self.r == 1 else flat.size))
+        blocks = []
+        for start in range(lo, hi, step):
+            im = np.arange(start, min(start + step, hi))[:, None] * m
+            im %= q1
+            if self.r == 1:
+                # plain integers: each product is below p^2 <= 2^40, and at
+                # most q <= 2^20 of them add up, so nothing overflows int64
+                block = self.exp_array[im] @ flat.T
+                block %= self.p
+            else:
+                block = self.sum_array(exp[im[:, None] + lw], axis=-1)
+            blocks.append(block)
+        out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return out.reshape(hi - lo, *w.shape[:-1])
 
     @cached_property
     def _wide_codes(self) -> tuple[np.ndarray, int, int]:

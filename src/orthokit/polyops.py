@@ -1,19 +1,17 @@
 """Reduced-polynomial view of maps: interpolation, degree, Hamming distance.
 
 Interpolation works from the fact that the product of (x - z) over all z in
-GF(q) is x^q - x, whose derivative is the constant -1: the basis polynomial
-attached to node y is -(x^q - x)/(x - y), so coefficient j >= 1 of the
-interpolant is the sum over nonzero nodes y of -t(y) * y^(q-1-j), and no
-denominators ever need inverting.  In logarithms that is a sum of
-gamma^(a_k + j * m_k) over the nodes, the same transform that evaluates a
-polynomial at every gamma^i, so interpolate and tabulate share one chunked
-array routine: O(q^2) field additions, done by numpy on the field's array
-kernel.  Row e of the interpolation transform is coefficient q - 1 - e, so
-reduced_degree reads rows from x^(q-1) down until the leading coefficient,
-O(q * (q - D)) for degree D >= 2 after an O(q) test for degree <= 1, and
-interpolate_delta updates a polynomial for a map changed at k points in
-O(k * q).  The independent reference all of them are tested against is the
-textbook Lagrange interpolation in tests/oracles.py.
+GF(q) is x^q - x, whose derivative is the constant -1: coefficient j >= 1
+of the interpolant of t is minus the power sum sum_x t(x) * x^(q-1-j), with
+0^0 = 1, and coefficient 0 is t(0), so no denominators ever need inverting.
+Evaluating a polynomial at every gamma^i is the same sum over its nonzero
+coefficients, so tabulate, interpolate and interpolate_delta all run the
+field's power_sums kernel on their nonzero nodes: O(q * nnz) field
+operations, O(k * q) for a map changed at k points.  reduced_degree settles
+degree <= 1 in O(q) and otherwise reads the coefficients top-down with
+ortho's degree walk, O(q * (q - D)) for degree D.  The independent
+reference all of them are tested against is the textbook Lagrange
+interpolation in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .gf import CHUNK, FieldSpec, json_int
-from .ortho import MapTable
+from .gf import FieldSpec, json_int
+from .ortho import MapTable, _degrees
 
 
 @dataclass(frozen=True)
@@ -60,29 +58,12 @@ def reduced_poly(field: FieldSpec, coeffs) -> ReducedPoly:
 
 def evaluate(f: ReducedPoly, x: int) -> int:
     fs = f.field
+    if not 0 <= x < fs.q:
+        raise PreconditionError(f"x={x} is not an element code in [0, {fs.q})")
     acc = 0
     for c in reversed(f.coeffs):
         acc = fs.add(fs.mul(acc, x), c)
     return acc
-
-
-def _power_sums(fs: FieldSpec, a: np.ndarray, m: np.ndarray,
-                lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """out[i - lo] = sum over j of gamma^(a[j] + i * m[j]) for the rows i in
-    [lo, hi), hi defaulting to q - 1."""
-    q1 = fs.q - 1
-    hi = q1 if hi is None else hi
-    out = np.zeros(hi - lo, dtype=np.int64)
-    if not len(a):
-        return out
-    exp = fs.exp_array
-    step = max(1, CHUNK // len(a))
-    for start in range(lo, hi, step):
-        idx = np.arange(start, min(start + step, hi), dtype=np.int64)[:, None] * m
-        idx += a
-        idx %= q1
-        out[start - lo:start - lo + step] = fs.sum_array(exp[idx], axis=1)
-    return out
 
 
 def _trimmed(coeffs: np.ndarray) -> tuple[int, ...]:
@@ -95,34 +76,22 @@ def tabulate(f: ReducedPoly) -> MapTable:
     fs = f.field
     c = np.array(f.coeffs, dtype=np.int64)
     j = np.flatnonzero(c)
-    # f(gamma^i) = sum over c_j != 0 of gamma^(log c_j + i * j)
+    # f(gamma^i) = sum over c_j != 0 of c_j * gamma^(i * j)
     vals = np.zeros(fs.q, dtype=np.int64)
-    vals[fs.exp_array] = _power_sums(fs, fs.log_array[c[j]], j)
+    vals[fs.exp_array] = fs.power_sums(c[j], j, 0, fs.q - 1)
     vals[0] = f.coeffs[0] if f.coeffs else 0
     return MapTable(fs, vals)
 
 
-def _nodes(fs: FieldSpec, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(v(0), a, k) for the table v: the nonzero nodes gamma^k and
-    a = log(-v(gamma^k)).  Row e of _power_sums(fs, a, k) is then
-    coefficient q - 1 - e of the reduced polynomial for 1 <= e < q - 1, and
-    row 0 minus v(0) is coefficient q - 1: node gamma^k adds
-    -v(gamma^k) * gamma^(k * e) there, and node 0 adds v(0) * (1 - x^(q-1))."""
+def _coeffs(fs: FieldSpec, v: np.ndarray) -> np.ndarray:
+    """All q coefficients of the reduced polynomial of the table v: v(0), then
+    minus the power sums sum_x v(x) * x^e (0^0 = 1) for e = q - 2 down to 0,
+    from the kernel run on the nonzero nodes with their values negated."""
     ty = v[fs.exp_array]
     k = np.flatnonzero(ty)
-    return int(v[0]), fs.log_array[fs.sub_array(0, ty[k])], k
-
-
-def _coeffs(fs: FieldSpec, v: np.ndarray) -> np.ndarray:
-    """All q coefficients of the reduced polynomial of the table v."""
-    q = fs.q
-    t0, a, k = _nodes(fs, v)
-    s = _power_sums(fs, a, k)
-    coeffs = np.empty(q, dtype=np.int64)
-    coeffs[0] = t0
-    coeffs[1:q - 1] = s[:0:-1]
-    coeffs[q - 1] = fs.sub(int(s[0]), t0)
-    return coeffs
+    c = fs.power_sums(fs.sub_array(0, ty[k]), k, 0, fs.q - 1)[::-1]
+    c[-1] = fs.sub(int(c[-1]), int(v[0]))  # node 0 adds v(0) to e = 0 alone
+    return np.concatenate([v[:1], c])
 
 
 def interpolate(t: MapTable) -> ReducedPoly:
@@ -130,35 +99,18 @@ def interpolate(t: MapTable) -> ReducedPoly:
     return ReducedPoly(t.field, _trimmed(_coeffs(t.field, t.values)))
 
 
-#: Rows of the transform reduced_degree reads first; each later block
-#: doubles, so a map of degree D costs O(q * (q - D)) and a map of degree 2
-#: about one full transform.
-_FIRST_ROWS = 8
-
-
 def reduced_degree(t: MapTable) -> int | None:
     """interpolate(t).degree.  A map of degree <= 1 is t(0) + (t(1) - t(0)) * x,
-    which one O(q) comparison settles; otherwise the transform is read from
-    x^(q-1) downward, only the rows down to the leading coefficient."""
+    which one O(q) comparison settles; otherwise ortho's top-down walk reads
+    the coefficients from x^(q-1) down, in doubling blocks of rows, to the
+    leading one: O(q * (q - D)) for degree D."""
     fs = t.field
-    q1 = fs.q - 1
     v = t.values
     t0 = int(v[0])
     slope = fs.sub(int(v[1]), t0)
-    codes = np.arange(fs.q, dtype=np.int64)
-    if np.array_equal(fs.add_array(fs.mul_array(codes, slope), t0), v):
+    if np.array_equal(fs.add_array(fs.mul_array(np.arange(fs.q), slope), t0), v):
         return 1 if slope else 0 if t0 else None
-    _, a, k = _nodes(fs, v)
-    lo, rows = 0, _FIRST_ROWS
-    while True:  # the degree is at least 2: row q - 3 at the latest
-        s = _power_sums(fs, a, k, lo, min(lo + rows, q1))
-        if lo == 0:
-            s[0] = fs.sub(int(s[0]), t0)
-        nz = np.flatnonzero(s)
-        if len(nz):
-            return q1 - lo - int(nz[0])
-        lo += rows
-        rows *= 2
+    return int(_degrees(fs, v[None], fs.q - 1)[0])
 
 
 def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:

@@ -64,22 +64,71 @@ def test_kernel_ops_match_oracle(field, p, r):
         assert got == want
     assert fs.sum_array(rows.T, axis=0).tolist() == \
         fs.sum_array(rows, axis=-1).tolist()
-    vec = rows[0].tolist()
-    for row, got in zip(rows.tolist(), fs.dot_array(rows, rows[0]).tolist()):
-        want = 0
-        for x, y in zip(row, vec):
-            want = of.add(want, of.mul(x, y))
-        assert got == want
 
 
-def test_dot_array_does_not_overflow_at_the_largest_prime(field):
-    # q terms of (p - 1)^2, about 2^60 in all, summed as plain integers
+def _oracle_power_sums(of, vals):
+    """sum over x of vals[x] * x^e for e in [0, q - 1), with 0^0 = 1."""
+    powers = [[1] * (of.q - 1) for _ in range(of.q)]
+    for x in range(of.q):
+        for e in range(1, of.q - 1):
+            powers[x][e] = of.mul(powers[x][e - 1], x)
+    out = []
+    for e in range(of.q - 1):
+        acc = 0
+        for x, v in enumerate(vals):
+            acc = of.add(acc, of.mul(v, powers[x][e]))
+        out.append(acc)
+    return out
+
+
+def _kernel_power_sums(fs, tables, lo, hi):
+    """Rows [lo, hi) of the power sums of the maps along the last axis of
+    tables: the kernel over the nodes x = gamma^log(x) != 0, and t(0) on
+    row 0 for the node 0."""
+    s = fs.power_sums(tables[..., 1:], fs.log_array[1:], lo, hi)
+    if lo == 0:
+        s[0] = fs.add_array(s[0], tables[..., 0])
+    return s
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_power_sums_match_oracle(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    q = fs.q
+    rng = np.random.default_rng(q)
+    batch = rng.integers(0, q, size=(5, q))
+    batch[1] = 0
+    batch[2, rng.random(q) < 0.5] = 0  # zero weights add nothing
+    batch[3] = q - 1
+    sparse = np.zeros(q, dtype=np.int64)  # a single sparse map, 0 among its nodes
+    sparse[[0, q // 2, q - 1]] = rng.integers(1, q, size=3)
+    want = [_oracle_power_sums(of, vals) for vals in batch.tolist()]
+    got = _kernel_power_sums(fs, batch, 0, q - 1)
+    assert got.shape == (q - 1, 5) and got.T.tolist() == want
+    assert _kernel_power_sums(fs, sparse, 0, q - 1).tolist() == \
+        _oracle_power_sums(of, sparse.tolist())
+    # any row range, and the batch axes kept as they are
+    for lo, hi in ((0, 1), (1, q - 1), (q // 2, q - 1), (q - 2, q - 1)):
+        assert _kernel_power_sums(fs, batch, lo, hi).tolist() == got[lo:hi].tolist()
+    assert _kernel_power_sums(fs, batch.reshape(5, 1, q), 0, q - 1).tolist() == \
+        got[:, :, None].tolist()
+    # exponents beyond q - 2 wrap, gamma^(q - 1) = 1; no terms, no sum
+    m = np.array([0, q - 1, 2 * (q - 1) + 1])
+    w = np.array([1, 1, 1])
+    assert fs.power_sums(w, m, 1, 2).tolist() == [of.add(of.add(1, 1), fs.gamma)]
+    assert fs.power_sums(w[:0], m[:0], 0, 3).tolist() == [0, 0, 0]
+
+
+def test_power_sums_do_not_overflow_at_the_largest_prime(field):
+    # q terms of (p - 1)^2, about 2^60 in all, summed as plain integers:
+    # node gamma^0 = 1 and q - 1 nodes gamma^((q-1)/2) = -1, read at row 1
     fs = field(1048573, 1)
-    vec = np.full(fs.q, fs.q - 1, dtype=np.int64)
-    vec[0] = 1
+    m = np.full(fs.q, (fs.q - 1) // 2, dtype=np.int64)
+    m[0] = 0
     rows = np.full((2, fs.q), fs.q - 1, dtype=np.int64)
     want = ((fs.q - 1) + (fs.q - 1) ** 3) % fs.q
-    assert fs.dot_array(rows, vec).tolist() == [want, want]
+    assert fs.power_sums(rows, m, 1, 2).tolist() == [[want, want]]
 
 
 @pytest.mark.parametrize("p,r", [(3, 6), (5, 4)])

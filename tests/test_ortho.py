@@ -153,6 +153,18 @@ def test_translate_of_affine_is_linear(field):
         assert translate(t, g).values.tolist() == linear_map(fs, 2).values.tolist()
 
 
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
+def test_translate_refuses_codes_outside_the_field(field, p, r):
+    # a negative g would wrap to an element from the end of the table, q
+    # would overrun it
+    fs = field(p, r)
+    t = linear_map(fs, 2)
+    for g in (-1, -fs.q, fs.q, fs.q + 1):
+        with pytest.raises(PreconditionError):
+            translate(t, g)
+    assert translate(t, fs.q - 1).values.tolist() == t.values.tolist()
+
+
 def test_cyclotomic_map_matches_definition(field):
     fs = field(7, 1)
     of = OracleField(7, 1, fs.modulus)

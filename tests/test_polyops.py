@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit import (MapTable, PreconditionError, distance3_pair, evaluate,
-                      hamming_distance, interpolate, interpolate_delta,
-                      linear_map, map_table, prime_powers, reduced_degree,
-                      reduced_poly, tabulate)
-from orthokit import polyops
+from orthokit import (FieldSpec, MapTable, PreconditionError, distance3_pair,
+                      evaluate, hamming_distance, interpolate,
+                      interpolate_delta, linear_map, map_table, prime_powers,
+                      reduced_degree, reduced_poly, tabulate)
 
 from oracles import (OracleField, hamming, lagrange_interpolate, poly_degree,
                      tabulate_poly)
@@ -88,6 +87,16 @@ def test_evaluate_horner(field):
     poly = reduced_poly(fs, (1, 0, 1))  # 1 + x^2
     for x in range(8):
         assert evaluate(poly, x) == fs.add(1, fs.mul(x, x))
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
+def test_evaluate_refuses_codes_outside_the_field(field, p, r):
+    fs = field(p, r)
+    x_poly = reduced_poly(fs, (0, 1))
+    for x in (-1, -fs.q, fs.q, fs.q + 1):
+        with pytest.raises(PreconditionError):
+            evaluate(x_poly, x)
+    assert [evaluate(x_poly, x) for x in range(fs.q)] == list(range(fs.q))
 
 
 def test_f125_witness_polynomial(field):
@@ -172,9 +181,9 @@ def test_reduced_degree_matches_interpolate_and_oracle(field, p, r):
 
 
 def _block_edges(q):
-    """Degrees within 1 of each boundary of reduced_degree's row blocks
-    (8, 16, 32, ... rows from x^(q-1) down), and the extremes."""
-    edges, rows, block = {0, 1, 2, q - 2, q - 1}, 0, 8
+    """Degrees within 1 of each boundary of the walk's row blocks (1, 2,
+    4, ... rows from x^(q-1) down), and the extremes."""
+    edges, rows, block = {0, 1, 2, q - 2, q - 1}, 0, 1
     while rows < q - 1:
         rows += block
         block *= 2
@@ -193,26 +202,37 @@ def test_reduced_degree_at_block_boundaries(field, p, r):
         assert reduced_degree(t) == d == interpolate(t).degree
 
 
+def _counting_kernel(monkeypatch):
+    """Patch FieldSpec.power_sums, the kernel the degree walk calls, to
+    record the rows each call reads; returns the list of row counts."""
+    rows = []
+    power_sums = FieldSpec.power_sums
+
+    def counting(fs, w, m, lo, hi):
+        rows.append(hi - lo)
+        return power_sums(fs, w, m, lo, hi)
+
+    monkeypatch.setattr(FieldSpec, "power_sums", counting)
+    return rows
+
+
 def test_reduced_degree_reads_only_the_top_rows(field, monkeypatch):
     fs = field(2, 10)
-    rows = []
-    power_sums = polyops._power_sums
-
-    def counting(fs, a, m, lo=0, hi=None):
-        out = power_sums(fs, a, m, lo, hi)
-        rows.append(len(out))
-        return out
-
-    monkeypatch.setattr(polyops, "_power_sums", counting)
     rng = random.Random(4)
-    for d in (fs.q - 1, fs.q - 3, fs.q - 40, 1):
+    maps = []
+    for d in (fs.q - 1, fs.q - 3, fs.q - 40, 2, 1):
         coeffs = [rng.randrange(fs.q) for _ in range(d)] + [1]
-        t = tabulate(reduced_poly(fs, coeffs))
+        maps.append((d, tabulate(reduced_poly(fs, coeffs))))
+    rows = _counting_kernel(monkeypatch)
+    for d, t in maps:
         rows.clear()
         assert reduced_degree(t) == d
-        # whole doubling blocks: at most twice the rows above the leading
-        # term, plus the first block
-        assert sum(rows) <= min(2 * (fs.q - 1 - d) + 8, fs.q - 1)
+        if d >= 2:
+            # whole doubling blocks: at most twice the rows above the
+            # leading term, plus the first block
+            assert 0 < sum(rows) <= min(2 * (fs.q - 1 - d) + 8, fs.q - 1)
+        else:
+            assert rows == []
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2)])
@@ -236,13 +256,16 @@ def test_reduced_degree_of_an_affine_map_skips_the_transform(field, monkeypatch)
     fs = field(2, 16)
     affine = tabulate(reduced_poly(fs, [5, 3]))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("affine maps need no transform rows")
-
-    monkeypatch.setattr(polyops, "_power_sums", refuse)
+    small = field(7, 1)
+    quadratic = tabulate(reduced_poly(small, [5, 3, 1]))
+    rows = _counting_kernel(monkeypatch)
     assert reduced_degree(affine) == 1
     assert reduced_degree(map_table(fs, [7] * fs.q)) == 0
     assert reduced_degree(map_table(fs, [0] * fs.q)) is None
+    assert rows == []
+    # the counter sees the walk: degree 2 reads every row
+    assert reduced_degree(quadratic) == 2
+    assert sum(rows) == small.q - 1
 
 
 def test_reduced_degree_rejects_wrong_length(field):
