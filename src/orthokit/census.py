@@ -169,6 +169,8 @@ def irregular_fraction(spec: FieldSpec,
     non-irregular count checked against its theoretical ceiling."""
     if report is None:
         report = census(spec)
+    if report.q != spec.q:
+        raise PreconditionError(f"the report is for q={report.q}, not q={spec.q}")
     if report.total == 0:
         return Fraction(0, 1)
     regular = report.total - report.irregular_count

@@ -118,8 +118,8 @@ def lift_subfield_pair(spec: FieldSpec, phi: MapTable, theta: MapTable) -> Ortho
 
 def _near_linear_table(fs: FieldSpec, k: int, a0: int, a1: int) -> MapTable:
     """x -> a0 * x on the powers gamma^t with k | t, x -> a1 * x elsewhere."""
-    log = fs.log_table
-    return scaled_map(fs, np.where(fs.log_array[1:] % k == 0, log[a0], log[a1]))
+    log = fs.log_array
+    return scaled_map(fs, np.where(log[1:] % k == 0, log[a0], log[a1]))
 
 
 def near_linear_pair(spec: FieldSpec) -> OrthoPair:
@@ -393,9 +393,9 @@ def pair_f125(spec: FieldSpec | None = None) -> OrthoPair:
     b = fs.add(a, 4)       # y^2 + 4
     f = _linearized(fs, b)
     c = f[a]
-    if not (fs.log_table[b] == 75 and f[0] == 0 and c == 103
-            and f[103] == 78 and fs.exp_table[118] == 103
-            and fs.exp_table[40] == 78 and f[c] == fs.sub(c, a)):
+    if not (fs.log_array[b] == 75 and f[0] == 0 and c == 103
+            and f[103] == 78 and fs.exp_array[118] == 103
+            and fs.exp_array[40] == 78 and f[c] == fs.sub(c, a)):
         raise AssertionError("GF(125) witness left its pinned codes")
     phi = swap_distance3(f, a, c)
     return _verified_pair(f, phi, F125)

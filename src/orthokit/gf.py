@@ -7,13 +7,16 @@ exactly the prime subfield.  Addition works digit-wise in base p (XOR when
 p == 2); multiplication, inversion and powers go through exp/log tables for
 a fixed primitive element gamma, so each costs a couple of lookups.
 
-Next to the scalar operations, each field carries numpy views of its tables
-(exp_array, log_array, digit_array, built on first use), elementwise
-add_array / sub_array / mul_array, a field sum along an axis, and
-power_sums, the one kernel for sums of weighted powers of gamma.  They
-follow the same three addition branches as add: mod p for primes, XOR for
-p == 2, digit-wise mod p otherwise.  The map and polynomial routines in
-ortho and polyops run on these, in chunks of about CHUNK elements.
+Each field holds its tables once, as read-only int64 arrays (exp_array,
+log_array; digit_array is built on first use), and its arithmetic is one
+array kernel: elementwise add_array / sub_array / mul_array, a field sum
+along an axis, and power_sums, the one kernel for sums of weighted powers
+of gamma.  Addition has three branches: mod p for primes, XOR for p == 2,
+digit-wise mod p otherwise.  The scalar operations are that kernel applied
+to ints and return ints.  The map and polynomial routines in ortho and
+polyops run on the kernel, in chunks of about CHUNK elements.  Tuple
+copies of the two tables are built on first read, for callers outside the
+package that want plain ints; the package itself never reads them.
 
 Construction policy, fully deterministic:
 
@@ -235,15 +238,16 @@ def _is_primitive(cand: int, p: int, r: int, modulus, q: int, factors) -> bool:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FieldSpec:
-    """Immutable description of GF(p^r) plus its arithmetic tables."""
+    """Immutable description of GF(p^r) plus its arithmetic tables, two
+    read-only int64 arrays."""
 
     p: int
     r: int
     q: int
     modulus: tuple[int, ...]  # monic, constant term first, length r + 1
     gamma: int
-    exp_table: tuple[int, ...]  # exp_table[i] == gamma**i, length q - 1
-    log_table: tuple[int, ...]  # inverse of exp on 1..q-1; log_table[0] == -1
+    exp_array: np.ndarray  # exp_array[i] == gamma**i, length q - 1
+    log_array: np.ndarray  # inverse of exp on 1..q-1; log_array[0] == -1
 
     def __repr__(self) -> str:
         return (f"FieldSpec(p={self.p}, r={self.r}, q={self.q}, "
@@ -252,67 +256,40 @@ class FieldSpec:
     # -- additive structure --------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        s, m = 0, 1
-        for _ in range(self.r):
-            s += ((a % p) + (b % p)) % p * m
-            a //= p
-            b //= p
-            m *= p
-        return s
+        return int(self.add_array(a, b))
 
     def sub(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        s, m = 0, 1
-        for _ in range(self.r):
-            s += ((a % p) - (b % p)) % p * m
-            a //= p
-            b //= p
-            m *= p
-        return s
+        return int(self.sub_array(a, b))
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return int(self.sub_array(0, a))
 
     # -- multiplicative structure ----------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
+        return self.exp_array.item((self.log_array.item(a) + self.log_array.item(b))
+                                   % (self.q - 1))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.exp_table[-self.log_table[a] % (self.q - 1)]
+        return self.exp_array.item(-self.log_array.item(a) % (self.q - 1))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 0 if e else 1
-        return self.exp_table[self.log_table[a] * e % (self.q - 1)]
+        return self.exp_array.item(self.log_array.item(a) * e % (self.q - 1))
 
     def trace(self, a: int) -> int:
         """Sum of the r Frobenius conjugates; lands in the prime subfield."""
-        if self.r == 1 or a == 0:
-            return a
-        e = self.log_table[a]
-        q1 = self.q - 1
-        acc = 0
-        pe = 1
-        for _ in range(self.r):
-            acc = self.add(acc, self.exp_table[e * pe % q1])
-            pe *= self.p
-        return acc
+        if a == 0:
+            return 0
+        e = self.log_array.item(a) * self.p ** np.arange(self.r) % (self.q - 1)
+        return int(self.sum_array(self.exp_array[e], axis=0))
 
     def coset_index(self, a: int, n: int) -> int:
         """Index j with a in gamma^j * <gamma^n>; needs a != 0 and n | q-1."""
@@ -320,7 +297,7 @@ class FieldSpec:
             raise PreconditionError("0 lies in no multiplicative coset")
         if n <= 0 or (self.q - 1) % n:
             raise PreconditionError(f"n={n} does not divide q-1={self.q - 1}")
-        return self.log_table[a] % n
+        return self.log_array.item(a) % n
 
     def prime_subfield(self) -> range:
         """The copy of Z_p inside the field: exactly the codes 0..p-1."""
@@ -334,17 +311,20 @@ class FieldSpec:
         return {"p": self.p, "r": self.r,
                 "modulus": list(self.modulus), "gamma": self.gamma}
 
+    @cached_property
+    def exp_table(self) -> tuple[int, ...]:
+        """exp_array as a tuple of ints, for callers outside the package."""
+        return tuple(self.exp_array.tolist())
+
+    @cached_property
+    def log_table(self) -> tuple[int, ...]:
+        """log_array as a tuple of ints, for callers outside the package."""
+        return tuple(self.log_array.tolist())
+
     # -- array kernel --------------------------------------------------------
     # Arguments are int64 arrays (or ints) of element codes; results are
-    # int64 arrays broadcast from them.
-
-    @cached_property
-    def exp_array(self) -> np.ndarray:
-        return np.array(self.exp_table, dtype=np.int64)
-
-    @cached_property
-    def log_array(self) -> np.ndarray:
-        return np.array(self.log_table, dtype=np.int64)
+    # int64 arrays broadcast from them (ints from ints on prime fields and
+    # at p == 2).
 
     @cached_property
     def digit_array(self) -> np.ndarray:
@@ -367,7 +347,7 @@ class FieldSpec:
         if self.r == 1:
             return (a + b) % self.p
         if self.p == 2:
-            return np.bitwise_xor(a, b)
+            return a ^ b
         d = self.digit_array
         return self._from_digits(d[a] + d[b])
 
@@ -375,7 +355,7 @@ class FieldSpec:
         if self.r == 1:
             return (a - b) % self.p
         if self.p == 2:
-            return np.bitwise_xor(a, b)
+            return a ^ b
         d = self.digit_array
         return self._from_digits(d[a] - d[b])
 
@@ -497,8 +477,9 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
             or not np.array_equal(log[exp], np.arange(q - 1)):
         raise AssertionError("exp table failed to cycle the group")
 
+    exp.flags.writeable = log.flags.writeable = False
     return FieldSpec(p=p, r=r, q=q, modulus=mod, gamma=gamma,
-                     exp_table=tuple(exp.tolist()), log_table=tuple(log.tolist()))
+                     exp_array=exp, log_array=log)
 
 
 def field_from_json(data: dict) -> FieldSpec:

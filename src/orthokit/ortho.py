@@ -92,9 +92,11 @@ def map_table(field: FieldSpec, values) -> MapTable:
 
 
 def linear_map(field: FieldSpec, a: int) -> MapTable:
+    if not 0 <= a < field.q:
+        raise PreconditionError(f"a={a} is not an element code in [0, {field.q})")
     if a == 0:
         return MapTable(field, np.zeros(field.q, dtype=np.int64))
-    return scaled_map(field, field.log_table[a])
+    return scaled_map(field, field.log_array.item(a))
 
 
 def scaled_map(field: FieldSpec, log_c) -> MapTable:

@@ -4,14 +4,14 @@ Interpolation works from the fact that the product of (x - z) over all z in
 GF(q) is x^q - x, whose derivative is the constant -1: coefficient j >= 1
 of the interpolant of t is minus the power sum sum_x t(x) * x^(q-1-j), with
 0^0 = 1, and coefficient 0 is t(0), so no denominators ever need inverting.
-Evaluating a polynomial at every gamma^i is the same sum over its nonzero
-coefficients, so tabulate, interpolate and interpolate_delta all run the
-field's power_sums kernel on their nonzero nodes: O(q * nnz) field
-operations, O(k * q) for a map changed at k points.  reduced_degree settles
-degree <= 1 in O(q) and otherwise reads the coefficients top-down with
-ortho's degree walk, O(q * (q - D)) for degree D.  The independent
-reference all of them are tested against is the textbook Lagrange
-interpolation in tests/oracles.py.
+Evaluating a polynomial at gamma^i is the same sum over its nonzero
+coefficients, so evaluate (one row), tabulate, interpolate and
+interpolate_delta all run the field's power_sums kernel on their nonzero
+nodes: O(q * nnz) field operations, O(k * q) for a map changed at k
+points.  reduced_degree settles degree <= 1 in O(q) and otherwise reads
+the coefficients top-down with ortho's degree walk, O(q * (q - D)) for
+degree D.  The independent reference all of them are tested against is
+the textbook Lagrange interpolation in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -56,14 +56,22 @@ def reduced_poly(field: FieldSpec, coeffs) -> ReducedPoly:
     return ReducedPoly(field, tuple(cs))
 
 
+def _at_powers(f: ReducedPoly, lo: int, hi: int) -> np.ndarray:
+    """f(gamma^i) for i in [lo, hi): the power sums over c_j != 0 of
+    c_j * gamma^(i * j)."""
+    c = np.array(f.coeffs, dtype=np.int64)
+    j = np.flatnonzero(c)
+    return f.field.power_sums(c[j], j, lo, hi)
+
+
 def evaluate(f: ReducedPoly, x: int) -> int:
     fs = f.field
     if not 0 <= x < fs.q:
         raise PreconditionError(f"x={x} is not an element code in [0, {fs.q})")
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = fs.add(fs.mul(acc, x), c)
-    return acc
+    if x == 0:
+        return f.coeffs[0] if f.coeffs else 0
+    e = fs.log_array.item(x)
+    return int(_at_powers(f, e, e + 1)[0])
 
 
 def _trimmed(coeffs: np.ndarray) -> tuple[int, ...]:
@@ -74,11 +82,8 @@ def _trimmed(coeffs: np.ndarray) -> tuple[int, ...]:
 def tabulate(f: ReducedPoly) -> MapTable:
     """The map x -> f(x) on every element."""
     fs = f.field
-    c = np.array(f.coeffs, dtype=np.int64)
-    j = np.flatnonzero(c)
-    # f(gamma^i) = sum over c_j != 0 of c_j * gamma^(i * j)
     vals = np.zeros(fs.q, dtype=np.int64)
-    vals[fs.exp_array] = fs.power_sums(c[j], j, 0, fs.q - 1)
+    vals[fs.exp_array] = _at_powers(f, 0, fs.q - 1)
     vals[0] = f.coeffs[0] if f.coeffs else 0
     return MapTable(fs, vals)
 

@@ -243,6 +243,15 @@ def test_irregular_fraction_ceiling_is_checked(field):
     assert irregular_fraction(field(7, 1), report=ok) == 0
 
 
+def test_irregular_fraction_refuses_a_report_for_another_order(field):
+    # GF(11)'s report would give 880/1147 for GF(7), checked against 7's ceiling
+    rep = census(field(11, 1))
+    with pytest.raises(PreconditionError, match="q=11"):
+        irregular_fraction(field(7, 1), report=rep)
+    with pytest.raises(PreconditionError, match="q=11"):
+        irregular_fraction(field(2, 3), report=rep)
+
+
 def test_irregular_fraction_ceiling_survives_optimize(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys\n"

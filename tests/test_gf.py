@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit import (ORDER_CAP, PreconditionError, build_field, field_from_json,
-                      prime_powers)
+from orthokit import (ORDER_CAP, PreconditionError, build_bitrade, build_field,
+                      census, cyclotomic_profile, distance3_pair, evaluate,
+                      field_from_json, interpolate, is_irregular, prime_powers,
+                      reduced_degree, validate_homogeneous)
 from orthokit.gf import _is_irreducible, _low_digits, is_prime
 
 from oracles import OracleField, exp_sequence
@@ -101,15 +103,25 @@ def test_r1_modulus_convention(field):
 
 # -- arithmetic vs the oracle ---------------------------------------------
 
-@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (2, 2), (2, 3), (3, 2), (2, 4),
+                                 (5, 2), (3, 3)])
 def test_arithmetic_matches_oracle_exhaustive(field, p, r):
+    # every scalar result must be a Python int: an np.int64 would not pass
+    # json.dumps in the CLI payloads
     fs = field(p, r)
     of = oracle_for(fs)
+    got = []
     for a in range(fs.q):
+        got += [fs.neg(a), fs.trace(a), fs.pow(a, 0), fs.pow(a, fs.q)]
+        assert got[-4:] == [of.sub(0, a), of.trace(a), 1, a]
+        if a:
+            got += [fs.inv(a), fs.pow(a, -1), fs.coset_index(a, fs.q - 1)]
+            assert got[-3:] == [of.inv(a)] * 2 + [of.discrete_log(fs.gamma, a)]
         for b in range(fs.q):
-            assert fs.add(a, b) == of.add(a, b)
-            assert fs.sub(a, b) == of.sub(a, b)
-            assert fs.mul(a, b) == of.mul(a, b)
+            got += [fs.add(a, b), fs.sub(a, b), fs.mul(a, b), fs.pow(a, b)]
+            assert got[-4:] == [of.add(a, b), of.sub(a, b), of.mul(a, b),
+                                of.powi(a, b)]
+    assert all(type(v) is int for v in got + list(fs.exp_table + fs.log_table))
 
 
 @pytest.mark.slow
@@ -195,6 +207,22 @@ def test_exp_table_check_rejects_a_broken_table(monkeypatch):
             gf.build_field(7, 1)
         with pytest.raises(AssertionError, match="failed to cycle"):
             gf.build_field(3, 2)
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (11, 1), (2, 4), (2, 5), (3, 2), (5, 3)])
+def test_library_paths_never_build_the_tuple_tables(p, r):
+    # a fresh field, not the session cache, so no other test has read them
+    fs = build_field(p, r)
+    pair = distance3_pair(fs)
+    assert validate_homogeneous(build_bitrade(pair.f, pair.g))
+    poly = interpolate(pair.g)
+    assert reduced_degree(pair.g) == poly.degree
+    is_irregular(pair.g)
+    cyclotomic_profile(pair.f)
+    assert [evaluate(poly, x) for x in range(fs.q)] == pair.g.values.tolist()
+    if fs.q <= 13:
+        census(fs)
+    assert "exp_table" not in vars(fs) and "log_table" not in vars(fs)
 
 
 @given(a=st.integers(0, 26), b=st.integers(0, 26), c=st.integers(0, 26))

@@ -165,6 +165,19 @@ def test_translate_refuses_codes_outside_the_field(field, p, r):
     assert translate(t, fs.q - 1).values.tolist() == t.values.tolist()
 
 
+@pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
+def test_linear_map_refuses_codes_outside_the_field(field, p, r):
+    # a negative a would read the log of an element from the end of the
+    # table (over GF(7), -1 gave x -> 6x), q would overrun it
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    for a in (-1, -fs.q, fs.q, fs.q + 1):
+        with pytest.raises(PreconditionError):
+            linear_map(fs, a)
+    for a in (0, 1, fs.q - 1):
+        assert linear_map(fs, a).values.tolist() == [of.mul(a, x) for x in range(fs.q)]
+
+
 def test_cyclotomic_map_matches_definition(field):
     fs = field(7, 1)
     of = OracleField(7, 1, fs.modulus)

@@ -89,6 +89,24 @@ def test_evaluate_horner(field):
         assert evaluate(poly, x) == fs.add(1, fs.mul(x, x))
 
 
+def test_evaluate_matches_tabulate(field):
+    rng = random.Random(13)
+    for p, r, q in prime_powers(64):
+        fs = field(p, r)
+        of = OracleField(p, r, fs.modulus)
+        polys = [(), (rng.randrange(1, q),)]  # zero and a nonzero constant
+        for _ in range(3):
+            cs = [rng.randrange(q) if rng.random() < 0.5 else 0
+                  for _ in range(rng.randrange(1, q + 1))]
+            polys.append(tuple(cs))
+        for coeffs in polys:
+            poly = reduced_poly(fs, coeffs)
+            got = [evaluate(poly, x) for x in range(q)]
+            want = tabulate_poly(of, coeffs)
+            assert got == tabulate(poly).values.tolist() == want, (q, coeffs)
+            assert all(type(v) is int for v in got)
+
+
 @pytest.mark.parametrize("p,r", [(7, 1), (3, 2)])
 def test_evaluate_refuses_codes_outside_the_field(field, p, r):
     fs = field(p, r)
