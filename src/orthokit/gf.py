@@ -18,15 +18,25 @@ polyops run on the kernel, in chunks of about CHUNK elements.  Tuple
 copies of the two tables are built on first read, for callers outside the
 package that want plain ints; the package itself never reads them.
 
+The tables are built with one multiplication, the multiplier of a: the
+r x r matrix M_a of x -> a*x on base-p digit rows, digits(x*a) ==
+digits(x) @ M_a mod p, built by Horner's rule from the companion matrix of
+the modulus; in a prime field it is the plain int a.  exp is doubled from
+exp[0] = 1: exp[n:2n] is exp[0:n] times gamma^n, whose multiplier is
+squared at each level, so a table takes about log2(q) block products.
+
 Construction policy, fully deterministic:
 
 * the default modulus is the lexicographically smallest monic irreducible of
   degree r, coefficients compared constant term first; for r == 1 the
   convention is y - gamma;
-* the default gamma is the smallest code generating the whole multiplicative
-  group;
+* the default gamma is the smallest code c generating the whole
+  multiplicative group, M_c^((q-1)/ell) != I for every prime ell | q - 1;
 * callers may supply either explicitly, e.g. to match element codes from a
-  published table.
+  published table.  A given gamma is accepted when its q - 1 powers are
+  distinct and nonzero; a table that fails is re-decided by the test
+  above, so a non-primitive gamma is refused (PreconditionError) and a
+  fault in the table is an AssertionError.
 
 FieldSpec instances are frozen.
 """
@@ -44,10 +54,6 @@ from .errors import PreconditionError
 
 #: Largest supported field order; every table here is Theta(q) ints.
 ORDER_CAP = 2**20
-
-#: Powers of gamma that build_field computes one product at a time before
-#: it doubles: numpy's per-call cost outweighs the doubling below this.
-_SCALAR_POWERS = 32
 
 #: Elements per 2-D temporary in the array kernels: large enough to amortise
 #: numpy's per-call overhead, small enough to stay in cache and add about a
@@ -149,91 +155,69 @@ def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {r} over Z_{p}")
 
 
-def _raw_mul(a: int, b: int, p: int, r: int, modulus: Sequence[int]) -> int:
-    """Table-free multiply; used only while building a field."""
+def _times(a: int, p: int, r: int, modulus: Sequence[int]):
+    """The multiplier of a: the matrix M of x -> a*x on base-p digit rows,
+    digits(x*a) == digits(x) @ M mod p, built by Horner's rule from the
+    companion matrix of the modulus (the multiplier of y).  In a prime
+    field it is the plain int a."""
     if r == 1:
-        return a * b % p
-    if p == 2:
-        top = 1 << r
-        mod_int = 0
-        for i, c in enumerate(modulus):
-            if c:
-                mod_int |= 1 << i
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod_int
-        return acc
-    av = _low_digits(a, p, r)
-    bv = _low_digits(b, p, r)
-    prod = [0] * (2 * r - 1)
-    for i, ai in enumerate(av):
-        if ai:
-            for j, bj in enumerate(bv):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(2 * r - 2, r - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(r):
-                prod[i - r + j] = (prod[i - r + j] - c * modulus[j]) % p
-    code = 0
-    for d in reversed(prod[:r]):
-        code = code * p + d
-    return code
+        return a
+    eye = np.eye(r, dtype=np.int64)
+    comp = np.eye(r, k=1, dtype=np.int64)
+    comp[-1] = np.negative(modulus[:r]) % p  # y^r = -(m_0 + ... + m_(r-1) y^(r-1))
+    mat = 0 * eye
+    for d in reversed(_low_digits(a, p, r)):
+        mat = (mat @ comp + d * eye) % p
+    return mat
 
 
-def _raw_pow(a: int, e: int, p: int, r: int, modulus: Sequence[int]) -> int:
-    acc = 1
-    base = a
+def _power(mat, e: int, p: int):
+    """mat^e mod p, the multiplier of a^e when mat is a's."""
+    if isinstance(mat, int):
+        return pow(mat, e, p)
+    acc = np.eye(len(mat), dtype=np.int64)
     while e:
         if e & 1:
-            acc = _raw_mul(acc, base, p, r, modulus)
-        base = _raw_mul(base, base, p, r, modulus)
+            acc = acc @ mat % p
         e >>= 1
+        if e:
+            mat = mat @ mat % p
     return acc
 
 
-def _exp_codes(p: int, r: int, modulus: Sequence[int], gamma: int) -> np.ndarray:
-    """gamma^0, ..., gamma^(q-2) as codes: the first _SCALAR_POWERS one
-    product at a time, then by doubling, exp[n:2n] being exp[0:n] times
-    gamma^n.  Multiplying by a fixed c is linear on the base-p digit
-    vectors, so each doubling is one r x r matrix product mod p, done in
-    blocks of about CHUNK digits."""
+def _scale(codes: np.ndarray, mat, p: int) -> np.ndarray:
+    """The codes times the element with multiplier mat."""
+    if isinstance(mat, int):
+        return codes * mat % p  # each product is below p^2 <= 2^40
+    place = p ** np.arange(len(mat), dtype=np.int64)
+    return (codes[:, None] // place % p @ mat % p) @ place
+
+
+def _is_primitive(mat, p: int, q: int, factors) -> bool:
+    """Whether the element with multiplier mat generates the whole group:
+    mat^((q-1)/ell) is not the identity for any prime ell in factors, those
+    of q - 1.  A multiplier is the identity when it maps 1 to 1."""
+    one = np.ones(1, dtype=np.int64)
+    return all(_scale(one, _power(mat, (q - 1) // ell, p), p)[0] != 1
+               for ell in factors)
+
+
+def _exp_codes(mat, p: int, r: int) -> np.ndarray:
+    """gamma^0, ..., gamma^(q-2) as codes, mat being gamma's multiplier, by
+    doubling from exp[0] = 1: exp[n:2n] is exp[0:n] times gamma^n, whose
+    multiplier is squared at each level, in blocks of about CHUNK digits."""
     q = p**r
-    place = p ** np.arange(r, dtype=np.int64)
     exp = np.empty(q - 1, dtype=np.int64)
-    rows = max(1, CHUNK // r)
-    n, c = min(q - 1, _SCALAR_POWERS), 1
-    for i in range(n):
-        exp[i] = c
-        c = _raw_mul(c, gamma, p, r, modulus)
+    exp[0] = 1
+    rows, n = max(1, CHUNK // r), 1
     while n < q - 1:
-        # row i: the digits of c * y^i, where y^i has the code p^i
-        mat = np.array([_low_digits(_raw_mul(c, p**i, p, r, modulus), p, r)
-                        for i in range(r)], dtype=np.int64)
         m = min(n, q - 1 - n)
         for i in range(0, m, rows):
-            digits = exp[i:min(i + rows, m), None] // place % p
-            exp[n + i:n + i + len(digits)] = (digits @ mat % p) @ place
-        c = _raw_mul(c, c, p, r, modulus)
+            j = min(i + rows, m)
+            exp[n + i:n + j] = _scale(exp[i:j], mat, p)
+        mat = _power(mat, 2, p)
         n += m
     return exp
-
-
-def _is_primitive(cand: int, p: int, r: int, modulus, q: int, factors) -> bool:
-    if cand == 0:
-        return False
-    for ell in factors:
-        e = (q - 1) // ell
-        power = pow(cand, e, p) if r == 1 else _raw_pow(cand, e, p, r, modulus)
-        if power == 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -389,10 +373,7 @@ class FieldSpec:
             return np.zeros((hi - lo, *w.shape[:-1]), dtype=np.int64)
         flat = w.reshape(-1, w.shape[-1])
         if self.r > 1:
-            # in logarithms, read from exp twice over and then zeros: a sum
-            # of two logs needs no reduction, and a zero weight reads 0
-            exp = np.concatenate([self.exp_array, self.exp_array,
-                                  np.zeros(q1, dtype=np.int64)])
+            exp = self._exp_twice
             lw = np.where(flat == 0, 2 * q1, self.log_array[flat])
         step = max(1, CHUNK // (flat.shape[1] if self.r == 1 else flat.size))
         blocks = []
@@ -409,6 +390,16 @@ class FieldSpec:
             blocks.append(block)
         out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         return out.reshape(hi - lo, *w.shape[:-1])
+
+    @cached_property
+    def _exp_twice(self) -> np.ndarray:
+        """exp_array twice over and then q - 1 zeros, read-only: power_sums
+        reads it at a sum of two logarithms, which needs no reduction, and
+        at 2(q - 1) + i for a zero weight, which reads 0."""
+        exp = np.concatenate([self.exp_array, self.exp_array,
+                              np.zeros(self.q - 1, dtype=np.int64)])
+        exp.flags.writeable = False
+        return exp
 
     @cached_property
     def _wide_codes(self) -> tuple[np.ndarray, int, int]:
@@ -453,29 +444,30 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
         mod = None  # degree-1 convention y - gamma, fixed once gamma is known
 
     factors = distinct_prime_factors(q - 1)
-    probe = mod if mod is not None else (0, 1)
     if gamma is None:
-        for cand in range(1, q):
-            if _is_primitive(cand, p, r, probe, q, factors):
-                gamma = cand
-                break
-    elif not isinstance(gamma, int) or not 0 < gamma < q \
-            or not _is_primitive(gamma, p, r, probe, q, factors):
+        gamma = next(c for c in range(1, q)
+                     if _is_primitive(_times(c, p, r, mod), p, q, factors))
+    elif not isinstance(gamma, int) or not 0 < gamma < q:
         raise PreconditionError(f"gamma={gamma} is not a primitive element")
-    if gamma is None:
-        raise AssertionError(f"no primitive element in GF({q})")
+
+    # a given gamma is primitive when its q - 1 powers are distinct and
+    # nonzero; a failed table is re-decided by the primitivity test, so a
+    # fault in the table surfaces as an AssertionError.  A non-primitive
+    # gamma is refused before a degree-1 modulus is compared with it.
+    mat = _times(gamma, p, r, mod)
+    exp = _exp_codes(mat, p, r)
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(len(exp))
+    if len(exp) != q - 1 or log[0] != -1 or _scale(exp[-1:], mat, p)[0] != 1 \
+            or not np.array_equal(log[exp], np.arange(q - 1)):
+        if not _is_primitive(mat, p, q, factors):
+            raise PreconditionError(f"gamma={gamma} is not a primitive element")
+        raise AssertionError("exp table failed to cycle the group")
     if mod is None:
         mod = (-gamma % p, 1)
     elif r == 1 and mod != (-gamma % p, 1):
         raise PreconditionError(f"a degree-1 modulus must be y - gamma, here "
                                 f"{[-gamma % p, 1]} for gamma={gamma}, got {list(mod)}")
-
-    exp = _exp_codes(p, r, mod, gamma)
-    log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(len(exp))
-    if _raw_mul(int(exp[-1]), gamma, p, r, mod) != 1 or log[0] != -1 \
-            or not np.array_equal(log[exp], np.arange(q - 1)):
-        raise AssertionError("exp table failed to cycle the group")
 
     exp.flags.writeable = log.flags.writeable = False
     return FieldSpec(p=p, r=r, q=q, modulus=mod, gamma=gamma,

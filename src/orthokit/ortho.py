@@ -32,6 +32,7 @@ oracles in tests/oracles.py.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,13 @@ def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
     """0 -> 0 and x -> coeffs[i] * x on the i-th index-n cyclotomic coset,
     cosets taken with respect to the field's gamma."""
     q = field.q
+    try:
+        n = operator.index(n)
+        cs = tuple(operator.index(a) for a in coeffs)
+    except TypeError:
+        raise PreconditionError("the index n and the coefficients must be integers")
     if n <= 0 or (q - 1) % n:
         raise PreconditionError(f"index n={n} does not divide q-1={q - 1}")
-    cs = tuple(int(a) for a in coeffs)
     if len(cs) != n or any(not 0 <= a < q for a in cs):
         raise PreconditionError("need one coefficient per coset, as codes in [0, q)")
     vals = np.zeros(q, dtype=np.int64)

@@ -521,6 +521,29 @@ def test_irregularity_check_exits_3_under_O(tmp_path):
     assert "maximal-degree orthomorphism is not irregular" in proc.stderr
 
 
+def test_broken_field_table_exits_3_under_O(tmp_path):
+    # a table fault under a given primitive gamma is a defect (exit 3), not
+    # a refusal of the gamma (exit 2), also with asserts stripped
+    import subprocess, sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import orthokit.gf as gf\n"
+        "import orthokit.cli as cli\n"
+        "assert sys.flags.optimize and False\n"  # stripped under -O
+        "good = gf._exp_codes\n"
+        "gf._exp_codes = lambda *a: np.where(good(*a) == 5, 3, good(*a))\n"
+        "sys.exit(cli.main(['field', '7', '1', '--gamma', '5']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "exp table failed to cycle the group" in proc.stderr
+
+
 def test_repeat_invocations_byte_identical(capsys):
     _, out1 = run(capsys, "pair", "11", "1", "--seed", "5")
     _, out2 = run(capsys, "pair", "11", "1", "--seed", "5")

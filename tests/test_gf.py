@@ -13,7 +13,8 @@ from orthokit import (ORDER_CAP, PreconditionError, build_bitrade, build_field,
                       census, cyclotomic_profile, distance3_pair, evaluate,
                       field_from_json, interpolate, is_irregular, prime_powers,
                       reduced_degree, validate_homogeneous)
-from orthokit.gf import _is_irreducible, _low_digits, is_prime
+from orthokit.gf import (_is_irreducible, _is_primitive, _low_digits, _scale,
+                         _times, distinct_prime_factors, is_prime)
 
 from oracles import OracleField, exp_sequence
 
@@ -193,6 +194,12 @@ def test_field_tables_match_scalar_construction():
             assert all(g.log_table[x] == i for i, x in enumerate(exp)), (q, gamma)
 
 
+def _another_generator(exp):
+    """The powers of gamma^5 in place of gamma's: a bijection onto 1..q-1
+    when 5 is prime to q - 1."""
+    return exp[np.arange(len(exp)) * 5 % len(exp)]
+
+
 def test_exp_table_check_rejects_a_broken_table(monkeypatch):
     import orthokit.gf as gf
     good = gf._exp_codes
@@ -200,13 +207,56 @@ def test_exp_table_check_rejects_a_broken_table(monkeypatch):
         "repeats": lambda *a: np.where(good(*a) == 5, 3, good(*a)),
         "holds 0": lambda *a: np.where(good(*a) == 5, 0, good(*a)),
         "stops short": lambda *a: good(*a)[:-1],
+        # only the closure check gamma * exp[q - 2] == 1 can catch this one
+        "another generator": lambda *a: _another_generator(good(*a)),
     }
+    assert sorted(_another_generator(build_field(3, 2).exp_array)) == list(range(1, 9))
+    # a table fault under a given primitive gamma is a defect of the
+    # package, never a refusal of the gamma
+    assert [OracleField(7, 1, (2, 1)).element_order(5),
+            OracleField(3, 2, (1, 0, 1)).element_order(7)] == [6, 8]
     for name, fake in broken.items():
         monkeypatch.setattr(gf, "_exp_codes", fake)
-        with pytest.raises(AssertionError, match="failed to cycle"):
-            gf.build_field(7, 1)
-        with pytest.raises(AssertionError, match="failed to cycle"):
-            gf.build_field(3, 2)
+        for p, r, gamma in ((7, 1, None), (3, 2, None), (7, 1, 5), (3, 2, 7)):
+            with pytest.raises(AssertionError, match="failed to cycle"):
+                gf.build_field(p, r, None, gamma)
+
+
+#: (p, r, modulus) for every prime power q <= 64 at its default modulus,
+#: the paper's GF(125) basis and a second cubic over Z_2.
+MULTIPLIER_FIELDS = [(p, r, None) for p, r, _ in prime_powers(64)] + \
+    [(5, 3, (3, 3, 0, 1)), (2, 3, (1, 1, 0, 1))]
+
+
+@pytest.mark.parametrize("p,r,modulus", MULTIPLIER_FIELDS)
+def test_multiplier_matches_oracle(field, p, r, modulus):
+    # the build's one multiplication, digits(x * a) = digits(x) @ M_a mod p,
+    # for every a and x, and its primitivity test for every nonzero a
+    fs = field(p, r, modulus)
+    of = oracle_for(fs)
+    codes = np.arange(fs.q)
+    factors = distinct_prime_factors(fs.q - 1)
+    for a in range(fs.q):
+        mat = _times(a, p, r, fs.modulus)
+        assert _scale(codes, mat, p).tolist() == [of.mul(x, a) for x in codes]
+        if a:
+            assert _is_primitive(mat, p, fs.q, factors) == \
+                (of.element_order(a) == fs.q - 1), a
+
+
+@pytest.mark.parametrize("p,r,modulus", MULTIPLIER_FIELDS)
+def test_given_gamma_is_accepted_exactly_when_primitive(field, p, r, modulus):
+    fs = field(p, r, modulus)
+    of = oracle_for(fs)
+    modulus = fs.modulus if r > 1 else None  # a degree-1 modulus fixes gamma
+    for c in range(1, fs.q):
+        if of.element_order(c) == fs.q - 1:
+            g = build_field(p, r, modulus, c)
+            assert g.gamma == c and g.exp_array.tolist() == exp_sequence(of, c)
+        else:
+            with pytest.raises(PreconditionError,
+                               match=f"^gamma={c} is not a primitive element$"):
+                build_field(p, r, modulus, c)
 
 
 @pytest.mark.parametrize("p,r", [(7, 1), (11, 1), (2, 4), (2, 5), (3, 2), (5, 3)])

@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from orthokit import (NonexistenceError, cyclotomic_map, cyclotomic_profile,
-                      difference_map, distance3_pair, interpolate,
-                      is_irregular, is_orthomorphism, linear_map, map_table,
-                      reduced_poly, tabulate, translate)
+from orthokit import (NonexistenceError, build_field, cyclotomic_map,
+                      cyclotomic_profile, difference_map, distance3_pair,
+                      interpolate, is_irregular, is_orthomorphism, linear_map,
+                      map_table, reduced_poly, tabulate, translate)
 
 from oracles import (OracleField, cyclotomic_min_index, difference_table,
                      is_irregular_table, lagrange_interpolate, poly_degree,
@@ -118,6 +118,24 @@ def test_power_sums_match_oracle(field, p, r):
     w = np.array([1, 1, 1])
     assert fs.power_sums(w, m, 1, 2).tolist() == [of.add(of.add(1, 1), fs.gamma)]
     assert fs.power_sums(w[:0], m[:0], 0, 3).tolist() == [0, 0, 0]
+
+
+def test_power_sums_build_their_log_table_once():
+    # fresh fields: an extension field builds its table on the first call
+    # and every later call reads the same read-only array; a prime field
+    # builds none
+    m = np.arange(8)
+    for p, r in ((2, 4), (3, 2), (17, 1)):
+        fs = build_field(p, r)
+        w = np.arange(16).reshape(2, 8) % fs.q
+        first = fs.power_sums(w, m, 0, 3)
+        table = vars(fs).get("_exp_twice")
+        assert fs.power_sums(w, m, 0, 3).tolist() == first.tolist()
+        assert vars(fs).get("_exp_twice") is table
+        if r == 1:
+            assert table is None
+        else:
+            assert table.shape == (3 * (fs.q - 1),) and not table.flags.writeable
 
 
 def test_power_sums_do_not_overflow_at_the_largest_prime(field):

@@ -198,6 +198,12 @@ def test_cyclotomic_map_rejects_bad_args(field):
         cyclotomic_map(fs, 2, (1,))
     with pytest.raises(PreconditionError):
         cyclotomic_map(fs, 2, (1, 7))
+    # no coefficient or index is truncated or parsed into an integer
+    for n, coeffs in ((2, [3.9, 5.2]), (2, [True, "5"]), (2.0, [3, 5]), ("2", [3, 5])):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            cyclotomic_map(fs, n, coeffs)
+    assert cyclotomic_map(fs, np.int64(2), np.array([3, 5])).values.tolist() == \
+        cyclotomic_map(fs, 2, [3, 5]).values.tolist()
 
 
 def test_profile_of_linear_map(field):
