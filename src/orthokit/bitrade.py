@@ -98,8 +98,9 @@ class Bitrade:
         "csv" gives one line "L1,row,col,sym" per triple of the first half,
         then one "L2,..." line per triple of the second.  The triples are
         written as ASCII byte blocks from a digit table, so no Python int is
-        made per code.  Raises ValueError for an unknown format or a code
-        outside [0, q)."""
+        made per code.  Raises ValueError for an unknown format, for extra
+        keys L1 or L2 in JSON or any extra key in CSV, which neither could
+        honour, or for a code outside [0, q)."""
         return "".join(self.pieces(fmt, **extra))
 
     def pieces(self, fmt: str = "json", **extra) -> Iterator[str]:
@@ -109,6 +110,8 @@ class Bitrade:
         called, before any string is made."""
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown bitrade format {fmt!r}")
+        if bad := sorted(extra.keys() & ({"L1", "L2"} if fmt == "json" else extra.keys())):
+            raise ValueError(f"bitrade {fmt} cannot carry the extra keys {bad}")
         q = self.field.q
         for half in (self.first, self.second):
             # a digit-table lookup would wrap a negative code silently

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import NonexistenceError, PreconditionError, SearchExhaustedError
-from .gf import CHUNK, FieldSpec, build_field, is_prime
+from .gf import CHUNK, FieldSpec, as_int, build_field
 from .ortho import (MapTable, _degrees, is_irregular, is_orthomorphism,
                     linear_map, scaled_map)
 from .polyops import ReducedPoly, hamming_distance, interpolate, tabulate
@@ -69,6 +69,7 @@ def swap_distance3(theta: MapTable, b: int, c: int) -> MapTable:
     phi(0) = c - b, phi(c) = c, phi(b) = 0.
     """
     fs = theta.field
+    b, c = (as_int(v, "b and c must be field elements") for v in (b, c))
     if not (0 <= b < fs.q and 0 <= c < fs.q):
         raise PreconditionError("b and c must be field elements")
     if b == c:
@@ -150,21 +151,13 @@ def near_linear_pair(spec: FieldSpec) -> OrthoPair:
     raise SearchExhaustedError(f"no near-linear orthomorphism found for q={q}")
 
 
-#: Candidate values listed per scan of the value order; a search frame
-#: holds at most this many, so the stack stays O(q) in size.
-_BATCH = 8
-
-
-def _feasible_counts(spec: FieldSpec, free_v: np.ndarray, free_d: np.ndarray,
-                     pos: np.ndarray) -> np.ndarray:
-    """For each position x in pos, the number of free values v whose
-    difference v - x is free; O(q^2) work in blocks of about CHUNK."""
-    vals = np.flatnonzero(free_v)
-    rows = max(1, CHUNK // max(1, len(vals)))
-    out = np.empty(len(pos), dtype=np.int64)
-    for i in range(0, len(pos), rows):
-        out[i:i + rows] = free_d[spec.sub_array(vals, pos[i:i + rows, None])].sum(axis=1)
-    return out
+def _start_counts(spec: FieldSpec, free_v: np.ndarray, free_d: np.ndarray,
+                  pos: np.ndarray) -> np.ndarray:
+    """Free values v with v - x free, counted for each x in pos; O(q) per used difference."""
+    cnt = np.full(len(pos), np.count_nonzero(free_v), dtype=np.int64)
+    for d in np.flatnonzero(~free_d).tolist():
+        cnt -= free_v[spec.add_array(pos, d)]
+    return cnt
 
 
 def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
@@ -179,49 +172,43 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     position going to the end), and cnt holds the number of values still
     feasible at each.  So argmin picks the most constrained position, ties
     going to the earliest, and each assignment or undo updates the counts
-    of all open positions in one array step.  The values feasible at a
-    chosen position come from a masked scan of `order`, a batch at a time;
-    an undo restores the masks a batch was listed under, so the rest of the
-    batch stays valid.  Returns a filled table, None when the node budget
-    ran out, or the string "infeasible" when the whole space was exhausted
-    within budget.
+    of all open positions in one array step.  A position's next value comes
+    from one masked scan of `order`, resumed after the value last tried
+    there; an undo restores the masks that value was found under.  Returns
+    a filled table, None when the node budget ran out, or the string
+    "infeasible" when the whole space was exhausted within budget.
     """
     sub, add = spec.sub_array, spec.add_array
     n = len(open_pos)
     pos = np.array(open_pos, dtype=np.int64)
-    cnt = _feasible_counts(spec, free_v, free_d, pos)
+    cnt = _start_counts(spec, free_v, free_d, pos)
     order = np.asarray(order, dtype=np.int64)
     end = len(order)
-    # (x0, count, cands, i, j, v0, d0): x0 took v0 = cands[i - 1], and the
-    # scan of order for x0 resumes at j
-    frames: list[tuple[int, int, list[int], int, int, int, int]] = []
+    # (x0, count, j, v0, d0): x0 took v0 = x0 + d0; its scan resumes at j
+    frames: list[tuple[int, int, int, int, int]] = []
     nodes = 0
 
-    def candidates(x0: int, j: int) -> tuple[list[int], int]:
-        tail = order[j:]
-        hit = (free_v[tail] & free_d[sub(tail, x0)]).nonzero()[0][:_BATCH]
-        return tail[hit].tolist(), end if len(hit) < _BATCH else j + int(hit[-1]) + 1
-
     def lost(v0: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
-        # v0 at x0 (difference d0) takes from each other open x the value
-        # v0 and the value x + d0, each if it was feasible there; neither
-        # test reads the mask bits of v0 or d0, since x != x0
+        # v0 at x0 takes from each other open x the values v0 and x + d0 where
+        # feasible; neither test reads the bits of v0 or d0, since x != x0
         return free_d[sub(v0, pos[:n])], free_v[add(pos[:n], d0)]
 
     while n:
         s = int(cnt[:n].argmin())
         x0, c0 = int(pos[s]), int(cnt[s])
-        cands, i, j = [], 0, 0 if c0 else end
+        j = 0 if c0 else end
         while True:
-            if i == len(cands) and j < end:
-                cands, j = candidates(x0, j)
-                i = 0
-            if i < len(cands):
-                break
+            if j < end:
+                tail = order[j:]
+                diff = sub(tail, x0)
+                ok = free_v[tail] & free_d[diff]
+                k = int(ok.argmax())
+                if ok[k]:
+                    break
             if not frames:
                 return "infeasible"
             # undo the parent assignment and resume its value scan
-            x0, c0, cands, i, j, v0, d0 = frames.pop()
+            x0, c0, j, v0, d0 = frames.pop()
             free_v[v0] = free_d[d0] = True
             for back in lost(v0, d0):
                 cnt[:n] += back
@@ -232,8 +219,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
         nodes += 1
         if nodes > budget:
             return None
-        v0 = cands[i]
-        d0 = spec.sub(v0, x0)
+        v0, d0 = int(tail[k]), int(diff[k])
         theta[x0] = v0
         n -= 1
         pos[s:n] = pos[s + 1:n + 1]
@@ -241,7 +227,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
         free_v[v0] = free_d[d0] = False
         for gone in lost(v0, d0):
             cnt[:n] -= gone
-        frames.append((x0, c0, cands, i + 1, j, v0, d0))
+        frames.append((x0, c0, j + k + 1, v0, d0))
     return theta
 
 
@@ -256,6 +242,7 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
     ascending value preference first, then seeded reshuffles.
     """
     q = spec.q
+    z, k, e = (as_int(v, "z, k and e must be integers") for v in (z, k, e))
     if q % 2 == 0:
         raise PreconditionError("completion requires odd q")
     if not 0 <= z < q or z in (0, 1):
@@ -301,6 +288,7 @@ def cubic_unique_root(spec: FieldSpec, a: int, b: int) -> bool:
     decided by comparing the traces of a^3 / b^2 and 1."""
     if spec.p != 2 or spec.q <= 2:
         raise PreconditionError("criterion applies to even q > 2")
+    a, b = (as_int(v, "need field elements a and b with b nonzero") for v in (a, b))
     if not (0 <= a < spec.q and 0 < b < spec.q):
         raise PreconditionError("need field elements a and b with b nonzero")
     lhs = spec.trace(spec.mul(spec.pow(a, 3), spec.inv(spec.mul(b, b))))
@@ -312,6 +300,7 @@ def even_char_theta(spec: FieldSpec, a: int, c: int) -> MapTable:
     coset {0, 1, a, a+1} + c, where it also adds a * (a + 1)."""
     if spec.p != 2 or spec.q < 8:
         raise PreconditionError("theta_a needs even q >= 8")
+    a, c = (as_int(v, "a and c must be integers") for v in (a, c))
     if not 0 <= a < spec.q or a in (0, 1):
         raise PreconditionError("a must be a field element outside {0, 1}")
     block = (c, c ^ 1, c ^ a, c ^ a ^ 1)
@@ -457,10 +446,9 @@ def _prime_pair(fs: FieldSpec, seed: int) -> OrthoPair:
 
 def small_prime_pair(p: int, seed: int = 0) -> OrthoPair:
     """Distance-3 pair over the prime field Z_p, p a prime outside {2, 5}."""
+    p = as_int(p, f"p={p} is not prime")
     if p in (2, 5):
         raise NonexistenceError(f"no distance-3 pair exists over GF({p})")
-    if not isinstance(p, int) or not is_prime(p):
-        raise PreconditionError(f"p={p} is not prime")
     return _prime_pair(build_field(p, 1), seed)
 
 

@@ -69,6 +69,17 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def as_int(value, reason: str) -> int:
+    """value as a Python int through operator.index, so NumPy integers pass;
+    a bool or any other non-integer raises PreconditionError(reason)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PreconditionError(reason)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -262,6 +273,7 @@ class FieldSpec:
         return self.exp_array.item(-self.log_array.item(a) % (self.q - 1))
 
     def pow(self, a: int, e: int) -> int:
+        e = as_int(e, "the exponent must be an integer")
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
@@ -279,7 +291,7 @@ class FieldSpec:
         """Index j with a in gamma^j * <gamma^n>; needs a != 0 and n | q-1."""
         if a == 0:
             raise PreconditionError("0 lies in no multiplicative coset")
-        if n <= 0 or (self.q - 1) % n:
+        if (n := as_int(n, f"n={n} is not an integer")) <= 0 or (self.q - 1) % n:
             raise PreconditionError(f"n={n} does not divide q-1={self.q - 1}")
         return self.log_array.item(a) % n
 
@@ -413,9 +425,11 @@ class FieldSpec:
 def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
                 gamma: int | None = None) -> FieldSpec:
     """Construct GF(p^r); see the module docstring for the default policy."""
-    if not isinstance(r, int) or r < 1:
+    r = as_int(r, f"extension degree r={r} must be a positive integer")
+    p = as_int(p, f"p={p} is not prime")
+    if r < 1:
         raise PreconditionError(f"extension degree r={r} must be a positive integer")
-    if not isinstance(p, int) or p < 2:
+    if p < 2:
         raise PreconditionError(f"p={p} is not prime")
     # the order is bounded before the trial division of p, which takes
     # sqrt(p) steps; r is bounded first, so a huge r costs no huge power
@@ -427,10 +441,7 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
 
     mod: tuple[int, ...] | None
     if modulus is not None:
-        try:
-            mod = tuple(operator.index(c) for c in modulus)
-        except TypeError:
-            raise PreconditionError("modulus coefficients must be integers")
+        mod = tuple(as_int(c, "modulus coefficients must be integers") for c in modulus)
         if any(not 0 <= c < p for c in mod):
             raise PreconditionError(
                 f"modulus coefficients must lie in [0, {p}), got {list(mod)}")
@@ -447,7 +458,7 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
     if gamma is None:
         gamma = next(c for c in range(1, q)
                      if _is_primitive(_times(c, p, r, mod), p, q, factors))
-    elif not isinstance(gamma, int) or not 0 < gamma < q:
+    elif not 0 < (gamma := as_int(gamma, f"gamma={gamma} is not a primitive element")) < q:
         raise PreconditionError(f"gamma={gamma} is not a primitive element")
 
     # a given gamma is primitive when its q - 1 powers are distinct and

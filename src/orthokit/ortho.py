@@ -32,13 +32,12 @@ oracles in tests/oracles.py.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .gf import CHUNK, FieldSpec, distinct_prime_factors, json_int
+from .gf import CHUNK, FieldSpec, as_int, distinct_prime_factors, json_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +92,7 @@ def map_table(field: FieldSpec, values) -> MapTable:
 
 
 def linear_map(field: FieldSpec, a: int) -> MapTable:
-    if not 0 <= a < field.q:
+    if not 0 <= (a := as_int(a, f"a={a} is not an element code")) < field.q:
         raise PreconditionError(f"a={a} is not an element code in [0, {field.q})")
     if a == 0:
         return MapTable(field, np.zeros(field.q, dtype=np.int64))
@@ -130,7 +129,7 @@ def translate(t: MapTable, g: int) -> MapTable:
     """T_g: x -> t(x + g) - t(g).  Maps orthomorphisms to orthomorphisms
     and always fixes 0."""
     fs = t.field
-    if not 0 <= g < fs.q:
+    if not 0 <= (g := as_int(g, f"g={g} is not an element code")) < fs.q:
         raise PreconditionError(f"g={g} is not an element code in [0, {fs.q})")
     v = t.values
     shifted = v[fs.add_array(np.arange(fs.q, dtype=np.int64), g)]
@@ -141,11 +140,9 @@ def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
     """0 -> 0 and x -> coeffs[i] * x on the i-th index-n cyclotomic coset,
     cosets taken with respect to the field's gamma."""
     q = field.q
-    try:
-        n = operator.index(n)
-        cs = tuple(operator.index(a) for a in coeffs)
-    except TypeError:
-        raise PreconditionError("the index n and the coefficients must be integers")
+    why = "the index n and the coefficients must be integers"
+    n = as_int(n, why)
+    cs = tuple(as_int(a, why) for a in coeffs)
     if n <= 0 or (q - 1) % n:
         raise PreconditionError(f"index n={n} does not divide q-1={q - 1}")
     if len(cs) != n or any(not 0 <= a < q for a in cs):

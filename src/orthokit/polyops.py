@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .gf import FieldSpec, json_int
+from .gf import FieldSpec, as_int, json_int
 from .ortho import MapTable, _degrees
 
 
@@ -66,7 +66,7 @@ def _at_powers(f: ReducedPoly, lo: int, hi: int) -> np.ndarray:
 
 def evaluate(f: ReducedPoly, x: int) -> int:
     fs = f.field
-    if not 0 <= x < fs.q:
+    if not 0 <= (x := as_int(x, f"x={x} is not an element code")) < fs.q:
         raise PreconditionError(f"x={x} is not an element code in [0, {fs.q})")
     if x == 0:
         return f.coeffs[0] if f.coeffs else 0

@@ -243,6 +243,20 @@ def test_render_empty_halves(field):
         b.render("xml")
 
 
+def test_render_refuses_extras_it_cannot_honour(field):
+    b = _pair_bitrade(field, 7, 1)
+    for fmt, extra in (("json", {"L1": 5}), ("json", {"L2": [], "seed": 0}),
+                       ("csv", {"homogeneous": True})):
+        with pytest.raises(ValueError, match="extra keys"):
+            b.pieces(fmt, **extra)
+        with pytest.raises(ValueError, match="extra keys"):
+            b.render(fmt, **extra)
+    # the other keys of the document may still be replaced
+    for extra in ({"k": 9}, {"field": "GF(7)"}, {"homogeneous": False}):
+        assert b.render("json", **extra) == json.dumps(
+            b.to_json() | extra, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 7])
 @pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (2, 4)])
 def test_render_across_block_boundaries(field, monkeypatch, p, r, rows):

@@ -18,13 +18,12 @@ from orthokit import (MapTable, NonexistenceError, PreconditionError,
                       max_degree_member, max_degree_orthomorphism, near_linear_pair,
                       pair_even_odd_power, pair_f125, small_prime_pair,
                       swap_distance3)
-from orthokit import construct
-from orthokit.construct import _mrv_backtrack
+from orthokit.construct import _mrv_backtrack, _start_counts
 from orthokit.gf import build_field, prime_powers
 
 from oracles import (OracleField, all_orthomorphisms, cubic_root_count,
-                     TabulatedField, f125_scan, is_irregular_table, mrv_backtrack,
-                     near_linear_first_hit)
+                     TabulatedField, f125_scan, is_irregular_table,
+                     is_orthomorphism_table, mrv_backtrack, near_linear_first_hit)
 
 # Pin triples (z, k, e) over GF(7) that no orthomorphism attains even though
 # they clear every local precondition; derived by filtering all 19
@@ -225,28 +224,34 @@ def _reference_field(p, r, modulus):
     return TabulatedField(OracleField(p, r, modulus))
 
 
-def _engine_and_reference(fs, z, k, e, order, budget):
-    """The search engine and the reference engine on one pin set, value
-    order and node budget: each outcome (a table, None or "infeasible")
-    with the table as the search left it, partial when the budget ran out."""
-    q = fs.q
+def _free_masks(fs, pins):
+    """Bool masks of the values and the differences v - x that the pinned
+    values pins {x: v} leave unused, by oracle arithmetic."""
     ref_field = _reference_field(fs.p, fs.r, fs.modulus)
-    oracle = ref_field.of
-    open_pos = [x for x in range(2, q) if x != k]
+    free_v = np.ones(fs.q, dtype=bool)
+    free_v[list(pins.values())] = False
+    free_d = np.ones(fs.q, dtype=bool)
+    free_d[[ref_field.sub(v, x) for x, v in pins.items()]] = False
+    return free_v, free_d
+
+
+def _engine_and_reference(fs, pins, order, budget):
+    """The search engine and the reference engine from the pinned values
+    pins {x: v}, every other position open in ascending order, under one
+    value order and node budget: each outcome (a table, None or
+    "infeasible") with the table as the search left it, partial when the
+    budget ran out."""
+    q = fs.q
+    open_pos = [x for x in range(q) if x not in pins]
     runs = []
     for engine in ("package", "reference"):
-        theta = [-1] * q
-        theta[0], theta[1], theta[k] = 0, z, e
+        theta = [pins.get(x, -1) for x in range(q)]
+        free_v, free_d = _free_masks(fs, pins)
         if engine == "package":
-            free_v = np.ones(q, dtype=bool)
-            free_v[[0, z, e]] = False
-            free_d = np.ones(q, dtype=bool)
-            free_d[[0, fs.sub(z, 1), fs.sub(e, k)]] = False
             out = _mrv_backtrack(fs, theta, free_v, free_d, open_pos, order, budget)
         else:
-            full = (1 << q) - 1
-            out = mrv_backtrack(ref_field, theta, full & ~(1 | 1 << z | 1 << e),
-                                full & ~(1 | 1 << oracle.sub(z, 1) | 1 << oracle.sub(e, k)),
+            bits = [sum(1 << i for i in np.flatnonzero(m).tolist()) for m in (free_v, free_d)]
+            out = mrv_backtrack(_reference_field(fs.p, fs.r, fs.modulus), theta, *bits,
                                 open_pos, order, budget)
         runs.append((out, theta))
     return runs
@@ -283,23 +288,50 @@ def test_engine_matches_reference(field, p, r):
     if q <= 128:
         cases.append(((2, 2, 1), orders[0], _default_budget(q)))
     for (z, k, e), order, budget in cases:
-        got, ref = _engine_and_reference(fs, z, k, e, order, budget)
+        got, ref = _engine_and_reference(fs, {0: 0, 1: z, k: e}, order, budget)
         assert got == ref, (z, k, e, order[:5], budget)
 
 
-@pytest.mark.parametrize("batch", [1, 2, construct._BATCH])
-def test_engine_matches_reference_on_every_small_pin_set(field, monkeypatch, batch):
-    # a batch of 1 or 2 makes every retry at a position resume its scan
-    monkeypatch.setattr(construct, "_BATCH", batch)
+def test_engine_matches_reference_on_every_small_pin_set(field):
     outcomes = set()
     for p, r in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1)):
         fs = field(p, r)
         for z, k, e in _valid_triples(fs):
             for budget in (_default_budget(fs.q), 3):
-                got, ref = _engine_and_reference(fs, z, k, e, list(range(fs.q)), budget)
+                got, ref = _engine_and_reference(fs, {0: 0, 1: z, k: e},
+                                                 list(range(fs.q)), budget)
                 assert got == ref, (fs.q, z, k, e, budget)
                 outcomes.add(got[0] if got[0] in (None, "infeasible") else "table")
     assert outcomes == {"table", None, "infeasible"}
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3)])
+def test_engine_matches_reference_from_general_masks(field, p, r):
+    # a seeded half of the positions of an orthomorphism from the reference
+    # search pinned, so about half the values and differences start used;
+    # the start counts are checked against a count over every value
+    fs = field(p, r)
+    q = fs.q
+    ref_field = _reference_field(p, r, fs.modulus)
+    rng = random.Random(f"masks:{q}")
+    full = (1 << q) - 1
+    oracle_t = None
+    while not isinstance(oracle_t, list):
+        oracle_t = mrv_backtrack(ref_field, [-1] * q, full, full, rng.sample(range(q), q),
+                                 rng.sample(range(q), q), 50 * q)
+    assert is_orthomorphism_table(ref_field.of, oracle_t)
+    for trial in range(4):
+        pins = {x: oracle_t[x] for x in rng.sample(range(q), q // 2)}
+        free_v, free_d = _free_masks(fs, pins)
+        open_pos = [x for x in range(q) if x not in pins]
+        want = [sum(free_v[v] and free_d[ref_field.sub(v, x)] for v in range(q))
+                for x in open_pos]
+        assert _start_counts(fs, free_v, free_d, np.array(open_pos)).tolist() == want
+        order = rng.sample(range(q), q) if trial % 2 else list(range(q))
+        for budget in (_default_budget(q), 3):
+            got, ref = _engine_and_reference(fs, pins, order, budget)
+            assert got == ref, (trial, budget)
+            assert budget == 3 or isinstance(got[0], list)
 
 
 @pytest.mark.slow
@@ -315,7 +347,7 @@ def test_engine_matches_reference_on_completion_attempts(field, q, z, k, e, atte
         order = list(range(q))
         if attempt:
             rng.shuffle(order)
-        got, ref = _engine_and_reference(fs, z, k, e, order, _default_budget(q))
+        got, ref = _engine_and_reference(fs, {0: 0, 1: z, k: e}, order, _default_budget(q))
         assert got == ref, attempt
         seen.append(got[0] is None)
     assert seen == [True] * (attempts - 1) + [False]

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit import (ORDER_CAP, PreconditionError, build_bitrade, build_field,
-                      census, cyclotomic_profile, distance3_pair, evaluate,
-                      field_from_json, interpolate, is_irregular, prime_powers,
-                      reduced_degree, validate_homogeneous)
+from orthokit import (ORDER_CAP, PreconditionError, ReducedPoly, build_bitrade,
+                      build_field, census, complete_partial, cubic_unique_root,
+                      cyclotomic_map, cyclotomic_profile, distance3_pair,
+                      evaluate, even_char_theta, field_from_json, interpolate,
+                      is_irregular, linear_map, prime_powers, reduced_degree,
+                      small_prime_pair, swap_distance3, translate,
+                      validate_homogeneous)
 from orthokit.gf import (_is_irreducible, _is_primitive, _low_digits, _scale,
                          _times, distinct_prime_factors, is_prime)
 
@@ -392,6 +395,49 @@ def test_rejects_modulus_coefficients_outside_the_prime_field():
     with pytest.raises(PreconditionError, match="integers"):
         build_field(2, 2, (1, 1.0, 1))
     assert build_field(2, 2, (1, 1, 1)).modulus == (1, 1, 1)
+
+
+#: Each library entry point that takes an integer argument, as a call of
+#: that argument, with a value it accepts.
+INTEGER_ARGUMENTS = {
+    "build_field.p": (lambda f, v: build_field(v, 1), 7),
+    "build_field.r": (lambda f, v: build_field(2, v), 2),
+    "build_field.modulus": (lambda f, v: build_field(3, 2, (v, 0, 1)), 1),
+    "build_field.gamma": (lambda f, v: build_field(7, 1, None, v), 3),
+    "pow": (lambda f, v: f(7, 1).pow(3, v), 2),
+    "coset_index": (lambda f, v: f(7, 1).coset_index(3, v), 2),
+    "cyclotomic_map.n": (lambda f, v: cyclotomic_map(f(7, 1), v, [1, 5]), 2),
+    "cyclotomic_map.coeffs": (lambda f, v: cyclotomic_map(f(7, 1), 2, [v, 5]), 1),
+    "linear_map": (lambda f, v: linear_map(f(7, 1), v), 3),
+    "translate": (lambda f, v: translate(linear_map(f(7, 1), 3), v), 2),
+    "evaluate": (lambda f, v: evaluate(ReducedPoly(f(7, 1), (1, 2)), v), 2),
+    "complete_partial.z": (lambda f, v: complete_partial(f(11, 1), v, 2, 1), 2),
+    "complete_partial.k": (lambda f, v: complete_partial(f(11, 1), 2, v, 1), 2),
+    "complete_partial.e": (lambda f, v: complete_partial(f(11, 1), 2, 2, v), 1),
+    "swap_distance3.b": (lambda f, v: swap_distance3(complete_partial(f(7, 1), 3, 3, 2), v, 3), 1),
+    "swap_distance3.c": (lambda f, v: swap_distance3(complete_partial(f(7, 1), 3, 3, 2), 1, v), 3),
+    "even_char_theta.a": (lambda f, v: even_char_theta(f(2, 3), v, 4), 2),
+    "even_char_theta.c": (lambda f, v: even_char_theta(f(2, 3), 2, v), 4),
+    "cubic_unique_root.a": (lambda f, v: cubic_unique_root(f(2, 3), v, 3), 2),
+    "cubic_unique_root.b": (lambda f, v: cubic_unique_root(f(2, 3), 2, v), 3),
+    "small_prime_pair": (lambda f, v: small_prime_pair(v), 7),
+}
+
+
+def _as_data(x):
+    return x.to_json() if hasattr(x, "to_json") else x
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_bools_floats_and_strings(field, name):
+    call, good = INTEGER_ARGUMENTS[name]
+    for bad in (True, float(good), str(good)):
+        with pytest.raises(PreconditionError):
+            call(field, bad)
+    # a NumPy integer is read as the int it holds
+    want = call(field, good)
+    got = call(field, np.int64(good))
+    assert type(got) is type(want) and _as_data(got) == _as_data(want)
 
 
 def test_prime_powers():
