@@ -26,16 +26,15 @@ from .polyops import (interpolate, interpolate_delta, reduced_degree,
                       reduced_poly, tabulate)
 
 
-#: Largest field order verify accepts.  verify --map settles an affine map
-#: in O(q) and reads any other reduced degree D top-down in O(q * (q - D))
-#: time, about a full O(q^2) transform for maps of low degree D >= 2:
-#: on a 2-core machine an affine map took 0.64 s at 2^16 end to end (44 s
-#: when it cost a full transform), a random permutation 0.55 s.
-#: verify --poly tabulates in O(q * nnz) for nnz nonzero coefficients, 37 s
-#: for a full-degree polynomial at 2^16.  The irregularity check is O(q),
-#: except for the maps whose degree certificate is inconclusive (see ortho),
-#: which it scans in O(q^2).  Larger orders are refused before the field is
-#: built, which alone takes seconds near 2^20.
+#: Largest field order verify accepts.  Reduced degrees and tabulation
+#: cost O(q) per top coefficient and one field dft, O(q * sum(l_i)) over
+#: the prime factors l_i of q - 1, for a full read: on a 2-core machine
+#: verify --map of an affine map, a random permutation or a degree-2 map
+#: and verify --poly of a full-degree polynomial each took 0.4-0.7 s end
+#: to end at 2^16.  The bound stays because the irregularity check, O(q)
+#: for most maps, scans the translations in O(q^2) for the maps whose
+#: degree certificate is inconclusive (see ortho), and a q - 1 with a
+#: large prime factor on an extension field leaves the dft at O(q * l).
 VERIFY_CAP = 2**16
 
 
@@ -113,7 +112,8 @@ def cmd_verify(args) -> dict:
         if p >= 2 and (r >= VERIFY_CAP.bit_length() or p**r > VERIFY_CAP):
             raise PreconditionError(
                 f"verify is capped at q = {VERIFY_CAP}, got q = {p}^{r}: "
-                "interpolation and the irregularity scan take O(q^2) time")
+                "the irregularity scan takes O(q^2) time on the maps its "
+                "degree certificate leaves")
         fs = field_from_json(spec)
         if args.map:
             t = map_table(fs, doc["values"])

@@ -174,7 +174,8 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     going to the earliest, and each assignment or undo updates the counts
     of all open positions in one array step.  A position's next value comes
     from one masked scan of `order`, resumed after the value last tried
-    there; an undo restores the masks that value was found under.  Returns
+    there; an undo restores the masks that value was found under, so the
+    count of values left untried says when no scan can find one.  Returns
     a filled table, None when the node budget ran out, or the string
     "infeasible" when the whole space was exhausted within budget.
     """
@@ -183,9 +184,9 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     pos = np.array(open_pos, dtype=np.int64)
     cnt = _start_counts(spec, free_v, free_d, pos)
     order = np.asarray(order, dtype=np.int64)
-    end = len(order)
-    # (x0, count, j, v0, d0): x0 took v0 = x0 + d0; its scan resumes at j
-    frames: list[tuple[int, int, int, int, int]] = []
+    # (x0, count, left, j, v0, d0): x0 took v0 = x0 + d0 with `left` of its
+    # `count` feasible values still untried; its scan resumes at j
+    frames: list[tuple[int, int, int, int, int, int]] = []
     nodes = 0
 
     def lost(v0: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,19 +197,12 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     while n:
         s = int(cnt[:n].argmin())
         x0, c0 = int(pos[s]), int(cnt[s])
-        j = 0 if c0 else end
-        while True:
-            if j < end:
-                tail = order[j:]
-                diff = sub(tail, x0)
-                ok = free_v[tail] & free_d[diff]
-                k = int(ok.argmax())
-                if ok[k]:
-                    break
+        left, j = c0, 0
+        while not left:
             if not frames:
                 return "infeasible"
             # undo the parent assignment and resume its value scan
-            x0, c0, j, v0, d0 = frames.pop()
+            x0, c0, left, j, v0, d0 = frames.pop()
             free_v[v0] = free_d[d0] = True
             for back in lost(v0, d0):
                 cnt[:n] += back
@@ -216,6 +210,10 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
             s = n
             pos[s], cnt[s] = x0, c0
             n += 1
+        tail = order[j:]
+        diff = sub(tail, x0)
+        ok = free_v[tail] & free_d[diff]
+        k = int(ok.argmax())
         nodes += 1
         if nodes > budget:
             return None
@@ -227,7 +225,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
         free_v[v0] = free_d[d0] = False
         for gone in lost(v0, d0):
             cnt[:n] -= gone
-        frames.append((x0, c0, j + k + 1, v0, d0))
+        frames.append((x0, c0, left - 1, j + k + 1, v0, d0))
     return theta
 
 

@@ -11,10 +11,12 @@ Each field holds its tables once, as read-only int64 arrays (exp_array,
 log_array; digit_array is built on first use), and its arithmetic is one
 array kernel: elementwise add_array / sub_array / mul_array, a field sum
 along an axis, and power_sums, the one kernel for sums of weighted powers
-of gamma.  Addition has three branches: mod p for primes, XOR for p == 2,
-digit-wise mod p otherwise.  The scalar operations are that kernel applied
-to ints and return ints.  The map and polynomial routines in ortho and
-polyops run on the kernel, in chunks of about CHUNK elements.  Tuple
+of gamma, O(q) per row and node, and dft, all q - 1 rows of it at once in
+O(q * sum(l_i)) over the prime factors l_i of q - 1.  Addition has three
+branches: mod p for primes, XOR for p == 2, digit-wise mod p otherwise.
+The scalar operations are that kernel applied to ints and return ints.
+The map and polynomial routines in ortho and polyops run on the kernel,
+in chunks of about CHUNK elements.  Tuple
 copies of the two tables are built on first read, for callers outside the
 package that want plain ints; the package itself never reads them.
 
@@ -402,6 +404,78 @@ class FieldSpec:
             blocks.append(block)
         out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         return out.reshape(hi - lo, *w.shape[:-1])
+
+    @cached_property
+    def radices(self) -> tuple[int, ...]:
+        """The prime factors of q - 1 with multiplicity, ascending: the
+        stages of dft, which costs O(q * sum(radices))."""
+        out, n = [], self.q - 1
+        for ell in distinct_prime_factors(n):
+            while n % ell == 0:
+                out.append(ell)
+                n //= ell
+        return tuple(out)
+
+    def dft(self, w: np.ndarray) -> np.ndarray:
+        """The discrete Fourier transform of length q - 1 with root gamma:
+        out[..., e] is the field sum over k of w[..., k] * gamma^(k * e), for
+        w of shape (..., q - 1), which is power_sums(w, arange(q - 1), 0,
+        q - 1) with the row axis last.  Mixed radix (Cooley-Tukey) over the
+        radices; a stage of length L with L^2 <= CHUNK, or of prime length,
+        is one batched power_sums call, or on a prime field with L^2 > CHUNK
+        one exact chirp-z correlation."""
+        return self._dft(np.asarray(w, dtype=np.int64), 1, self.radices)
+
+    def _dft(self, w: np.ndarray, s: int, radices: tuple[int, ...]) -> np.ndarray:
+        """The transform of length n = prod(radices) = (q - 1) / s along the
+        last axis of w, with root gamma^s."""
+        n = w.shape[-1]
+        if len(radices) == 1 or n * n <= CHUNK:
+            if self.r == 1 and n * n > CHUNK:
+                return self._chirp(w, s)
+            return np.moveaxis(self.power_sums(w, s * np.arange(n), 0, n), 0, -1)
+        # k = ell * k2 + k1 and e = e1 + m * e2: the length-m transforms
+        # over k2, the twiddles gamma^(s * k1 * e1), the length-ell
+        # transforms over k1
+        ell, m = radices[-1], n // radices[-1]
+        a = self._dft(w.reshape(*w.shape[:-1], m, ell).swapaxes(-1, -2),
+                      s * ell, radices[:-1])
+        twiddle = self.exp_array[s * np.outer(np.arange(ell), np.arange(m)) % (self.q - 1)]
+        a = self._dft(self.mul_array(a, twiddle).swapaxes(-1, -2), s * m, radices[-1:])
+        return a.swapaxes(-1, -2).reshape(w.shape)
+
+    def _chirp(self, w: np.ndarray, s: int) -> np.ndarray:
+        """_dft of prime length n on a prime field, by Bluestein's chirp-z:
+        k * e = C(k + e, 2) - C(k, 2) - C(e, 2), so out[e] is
+        gamma^(-s C(e, 2)) times the correlation sum over k of
+        w[k] gamma^(-s C(k, 2)) * gamma^(s C(k + e, 2)).  The correlation is
+        taken over the integers with numpy's FFT, on 10-bit limbs of codes
+        below p <= 2^20, so every exact sum is below 2^41 and rounds back
+        exactly; then it is reduced mod p.  Rows go in blocks of at most
+        ORDER_CAP samples."""
+        from numpy import fft  # at call time: the import costs about 1 ms
+
+        n, p = w.shape[-1], self.p
+        j = np.arange(2 * n - 1)
+        tri = j * (j - 1) // 2 % n * s  # s * C(j, 2) mod q - 1
+        chirp = self.exp_array[tri]
+        unchirp = self.exp_array[-tri[:n] % (self.q - 1)]
+        a = (w * unchirp % p)[..., ::-1].reshape(-1, n)
+        size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap reaches e < n
+        fb0, fb1 = fft.rfft(chirp & 1023, size), fft.rfft(chirp >> 10, size)
+        out = np.zeros(a.shape, dtype=np.int64)
+        step = max(1, ORDER_CAP // size)
+        for lo in range(0, len(a), step):
+            fa0 = fft.rfft(a[lo:lo + step] & 1023, size)
+            fa1 = fft.rfft(a[lo:lo + step] >> 10, size)
+            for shift, terms in ((0, [(fa0, fb0)]), (10, [(fa0, fb1), (fa1, fb0)]),
+                                 (20, [(fa1, fb1)])):
+                part = fft.irfft(sum(x * y for x, y in terms), size)[:, n - 1:2 * n - 1]
+                exact = np.rint(part)
+                if np.abs(part - exact).max() >= 0.25:
+                    raise AssertionError("chirp-z correlation lost its exactness")
+                out[lo:lo + step] += exact.astype(np.int64) % p * pow(2, shift, p) % p
+        return (out % p * unchirp % p).reshape(w.shape)
 
     @cached_property
     def _exp_twice(self) -> np.ndarray:

@@ -5,13 +5,15 @@ GF(q) is x^q - x, whose derivative is the constant -1: coefficient j >= 1
 of the interpolant of t is minus the power sum sum_x t(x) * x^(q-1-j), with
 0^0 = 1, and coefficient 0 is t(0), so no denominators ever need inverting.
 Evaluating a polynomial at gamma^i is the same sum over its nonzero
-coefficients, so evaluate (one row), tabulate, interpolate and
-interpolate_delta all run the field's power_sums kernel on their nonzero
-nodes: O(q * nnz) field operations, O(k * q) for a map changed at k
-points.  reduced_degree settles degree <= 1 in O(q) and otherwise reads
-the coefficients top-down with ortho's degree walk, O(q * (q - D)) for
-degree D.  The independent reference all of them are tested against is
-the textbook Lagrange interpolation in tests/oracles.py.
+coefficients.  evaluate (one row) and interpolate_delta run the field's
+power_sums kernel on their nonzero nodes, O(k * q) for a map changed at k
+points.  tabulate and interpolate read every row: with nnz nonzero nodes
+that is O(q * nnz) on the kernel, or one field dft in O(q * sum(l_i)) over
+the prime factors l_i of q - 1 once nnz exceeds that sum.  reduced_degree
+settles degree <= 1 in O(q), reads the top _CERTIFY_ROWS coefficients with
+ortho's degree walk, and takes a degree below them from one full read.
+The independent reference all of them are tested against is the textbook
+Lagrange interpolation in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gf import FieldSpec, as_int, json_int
-from .ortho import MapTable, _degrees
+from .ortho import _CERTIFY_ROWS, MapTable, _degrees
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,15 @@ def reduced_poly(field: FieldSpec, coeffs) -> ReducedPoly:
     return ReducedPoly(field, tuple(cs))
 
 
-def _at_powers(f: ReducedPoly, lo: int, hi: int) -> np.ndarray:
-    """f(gamma^i) for i in [lo, hi): the power sums over c_j != 0 of
-    c_j * gamma^(i * j)."""
-    c = np.array(f.coeffs, dtype=np.int64)
-    j = np.flatnonzero(c)
-    return f.field.power_sums(c[j], j, lo, hi)
+def _transform(fs: FieldSpec, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row i < q - 1 is the field sum over the nodes of w[j] * gamma^(i * k[j]),
+    for distinct exponents k below q - 1: the power_sums kernel on the nodes,
+    or one dft once they outnumber sum(fs.radices), dft's cost per element."""
+    if len(k) <= sum(fs.radices):
+        return fs.power_sums(w, k, 0, fs.q - 1)
+    dense = np.zeros(fs.q - 1, dtype=np.int64)
+    dense[k] = w
+    return fs.dft(dense)
 
 
 def evaluate(f: ReducedPoly, x: int) -> int:
@@ -71,7 +76,9 @@ def evaluate(f: ReducedPoly, x: int) -> int:
     if x == 0:
         return f.coeffs[0] if f.coeffs else 0
     e = fs.log_array.item(x)
-    return int(_at_powers(f, e, e + 1)[0])
+    c = np.array(f.coeffs, dtype=np.int64)
+    j = np.flatnonzero(c)
+    return int(fs.power_sums(c[j], j, e, e + 1)[0])
 
 
 def _trimmed(coeffs: np.ndarray) -> tuple[int, ...]:
@@ -82,19 +89,24 @@ def _trimmed(coeffs: np.ndarray) -> tuple[int, ...]:
 def tabulate(f: ReducedPoly) -> MapTable:
     """The map x -> f(x) on every element."""
     fs = f.field
+    c = np.zeros(fs.q, dtype=np.int64)
+    c[:len(f.coeffs)] = f.coeffs
     vals = np.zeros(fs.q, dtype=np.int64)
-    vals[fs.exp_array] = _at_powers(f, 0, fs.q - 1)
-    vals[0] = f.coeffs[0] if f.coeffs else 0
+    vals[0] = c[0]
+    if c[-1]:  # x^(q-1) is 1 at every gamma^i, as x^0 is
+        c[0] = fs.add(int(c[0]), int(c[-1]))
+    j = np.flatnonzero(c[:-1])
+    vals[fs.exp_array] = _transform(fs, j, c[j])
     return MapTable(fs, vals)
 
 
 def _coeffs(fs: FieldSpec, v: np.ndarray) -> np.ndarray:
     """All q coefficients of the reduced polynomial of the table v: v(0), then
     minus the power sums sum_x v(x) * x^e (0^0 = 1) for e = q - 2 down to 0,
-    from the kernel run on the nonzero nodes with their values negated."""
+    from _transform of the nonzero nodes with their values negated."""
     ty = v[fs.exp_array]
     k = np.flatnonzero(ty)
-    c = fs.power_sums(fs.sub_array(0, ty[k]), k, 0, fs.q - 1)[::-1]
+    c = _transform(fs, k, fs.sub_array(0, ty[k]))[::-1]
     c[-1] = fs.sub(int(c[-1]), int(v[0]))  # node 0 adds v(0) to e = 0 alone
     return np.concatenate([v[:1], c])
 
@@ -107,15 +119,18 @@ def interpolate(t: MapTable) -> ReducedPoly:
 def reduced_degree(t: MapTable) -> int | None:
     """interpolate(t).degree.  A map of degree <= 1 is t(0) + (t(1) - t(0)) * x,
     which one O(q) comparison settles; otherwise ortho's top-down walk reads
-    the coefficients from x^(q-1) down, in doubling blocks of rows, to the
-    leading one: O(q * (q - D)) for degree D."""
+    the top _CERTIFY_ROWS coefficients, O(q) each, and a degree below them
+    comes from all q coefficients at once."""
     fs = t.field
     v = t.values
     t0 = int(v[0])
     slope = fs.sub(int(v[1]), t0)
     if np.array_equal(fs.add_array(fs.mul_array(np.arange(fs.q), slope), t0), v):
         return 1 if slope else 0 if t0 else None
-    return int(_degrees(fs, v[None], fs.q - 1)[0])
+    degree = int(_degrees(fs, v[None], _CERTIFY_ROWS)[0])
+    if degree < 0:  # below the top rows: read every coefficient at once
+        degree = int(np.flatnonzero(_coeffs(fs, v))[-1])
+    return degree
 
 
 def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:

@@ -544,6 +544,20 @@ def test_broken_field_table_exits_3_under_O(tmp_path):
     assert "exp table failed to cycle the group" in proc.stderr
 
 
+def test_import_leaves_numpy_fft_unloaded(tmp_path):
+    # the chirp-z transform imports numpy.fft when it first runs: importing
+    # it costs about 1 ms and 0.6 MB, which every command would pay at start
+    import subprocess, sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, orthokit\nprint('numpy.fft' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_repeat_invocations_byte_identical(capsys):
     _, out1 = run(capsys, "pair", "11", "1", "--seed", "5")
     _, out2 = run(capsys, "pair", "11", "1", "--seed", "5")
@@ -592,6 +606,14 @@ STDOUT_SHA256 = {
         "c73973f01cddd7583db8aaa5ffab641232b8b441f6fdca213c92607a05b25c3e",
     ("pair", "2", "10"):
         "c39ecff13c7926724d652c02cf41e01f2cec9bcd3b6eb3136fd591a0166db501",
+    # written while interpolation was one O(q^2) power-sum pass, before the
+    # mixed-radix and chirp-z transform took it over
+    ("pair", "2", "16"):
+        "e8f94778f318533a4eb543a34b8c434cd00f02969b4e648c62e4565bae9c5333",
+    ("pair", "3", "9"):
+        "8d46ae061b4783076244ae900bf6e39db7a5277754831ec71343c9fe19f75d57",
+    ("pair", "1019", "1"):
+        "989cc450d977f3f9469c23941f96405c5ac1451b36e352bb92756bb3faec1ebe",
 }
 
 

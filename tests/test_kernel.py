@@ -231,3 +231,53 @@ def test_roundtrip_medium_fields(field, p, r):
     for vals in (perm, [rng.randrange(fs.q) for _ in range(fs.q)]):
         t = map_table(fs, vals)
         assert tabulate(interpolate(t)).values.tolist() == t.values.tolist()
+
+
+#: Orders for the transform: (q - 1)^2 <= CHUNK (one power_sums call), q - 1
+#: prime (2^7, 2^13), p - 1 = 2 * prime (263, 1019) and other chirp-z
+#: leaves on prime fields (4099), and mixed radix on every field shape.
+DFT_FIELDS = [(7, 1), (2, 4), (3, 3), (2, 7), (3, 5), (2, 8), (263, 1), (7, 3),
+              (5, 4), (3, 6), (1019, 1), (2, 10), (2003, 1), (3, 7), (2, 12),
+              (4099, 1), (2, 13)]
+
+
+@pytest.mark.parametrize("p,r", DFT_FIELDS)
+def test_dft_matches_power_sums_on_every_row(field, p, r):
+    fs = field(p, r)
+    q1 = fs.q - 1
+    rng = np.random.default_rng(fs.q)
+    # at 2^13 the transform is one power_sums call: a single row will do
+    w = rng.integers(0, fs.q, size=(3 if q1 < 8000 else 1, q1))
+    w[0, rng.random(q1) < 0.5] = 0
+    w[-1, ::3] = fs.q - 1
+    want = np.moveaxis(fs.power_sums(w, np.arange(q1), 0, q1), 0, -1)
+    got = fs.dft(w)
+    assert got.shape == w.shape and np.array_equal(got, want)
+    if len(w) > 1:
+        # a batch gives the rows of single calls, with its leading axes kept
+        for row, single in zip(w, got):
+            assert np.array_equal(fs.dft(row), single)
+        assert np.array_equal(fs.dft(w[:, None]), got[:, None])
+        assert not fs.dft(np.zeros(q1, dtype=np.int64)).any()
+
+
+@pytest.mark.parametrize("p", [65543, 1048343, 1048573])
+def test_dft_spot_rows_near_the_largest_primes(field, p):
+    # chirp-z leaves of length 32,771 and 524,171, whose correlations come
+    # near 2^41 before the reduction mod p, and 2^2 3^3 7 19 73 by mixed radix
+    fs = field(p, 1)
+    rng = np.random.default_rng(p)
+    w = rng.integers(0, p, size=p - 1)
+    w[::2] = p - 1
+    got = fs.dft(w)
+    rows = [0, 1, 2, (p - 1) // 2, p - 2] + rng.integers(0, p - 1, size=3).tolist()
+    for e in rows:
+        assert got[e] == fs.power_sums(w, np.arange(p - 1), e, e + 1)[0], e
+
+
+def test_chirp_z_refuses_an_inexact_correlation(field, monkeypatch):
+    fs = field(1019, 1)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    with pytest.raises(AssertionError, match="exactness"):
+        fs.dft(np.ones(fs.q - 1, dtype=np.int64))

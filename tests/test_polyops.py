@@ -339,3 +339,33 @@ def test_interpolate_delta_on_every_pair(field, seed):
         pair = distance3_pair(field(p, r), seed=seed)
         got = interpolate_delta(interpolate(pair.f), pair.f, pair.g)
         assert got == interpolate(pair.g), q
+
+
+
+def _horner(of, coeffs):
+    """tabulate_poly(of, coeffs), by plain integer arithmetic on prime fields."""
+    if of.r > 1:
+        return tabulate_poly(of, coeffs)
+    out = []
+    for x in range(of.q):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % of.p
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r, _ in prime_powers(343)])
+def test_interpolate_and_tabulate_match_oracle_up_to_343(field, p, r):
+    # a random table: a dense read, so every q with (q - 1)^2 > CHUNK takes
+    # the transform both ways.  Degree < q and agreement everywhere pin the
+    # interpolant down, as the textbook Lagrange interpolation would, whose
+    # O(q^3) oracle runs in test_kernel up to q = 32; its x^(q-1) term
+    # folds onto x^0 when tabulated
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    rng = random.Random(fs.q)
+    vals = [rng.randrange(fs.q) for _ in range(fs.q)]
+    poly = interpolate(map_table(fs, vals))
+    assert len(poly.coeffs) <= fs.q and _horner(of, poly.coeffs) == vals
+    assert tabulate(poly).values.tolist() == vals
