@@ -489,7 +489,7 @@ def max_degree_member(spec: FieldSpec, seed: int = 0) -> MapTable:
         raise NonexistenceError(
             f"no orthomorphism of reduced degree q-3 exists over GF({spec.q})")
     pair = distance3_pair(spec, seed)
-    degree = _degrees(spec, np.stack([pair.f.values, pair.g.values]), 3)
+    degree, _ = _degrees(spec, np.stack([pair.f.values, pair.g.values]), 3)
     for t, d in zip((pair.f, pair.g), degree.tolist()):
         if d == spec.q - 3:
             return t

@@ -62,6 +62,13 @@ ORDER_CAP = 2**20
 #: megabyte of peak memory.
 CHUNK = 2**14
 
+#: Shortest prime stage a prime-field dft takes by chirp-z, not the kernel.
+#: In process, stage by stage, the kernel was faster at L = 131 (q = 263:
+#: 0.140 against 0.154 ms) and L = 151 (q = 16,007: 1.7 against 2.9 ms),
+#: chirp-z at L = 173 (q = 347: 0.18 against 0.25 ms) and L = 179 (q = 359:
+#: 0.16 against 0.24 ms).  The kernel keeps pair 263 off numpy's FFT module.
+CHIRP_MIN = 173
+
 
 def json_int(value, what: str) -> int:
     """value itself when it is a Python int (not a bool); JSON input must not
@@ -423,7 +430,7 @@ class FieldSpec:
         q - 1) with the row axis last.  Mixed radix (Cooley-Tukey) over the
         radices; a stage of length L with L^2 <= CHUNK, or of prime length,
         is one batched power_sums call, or on a prime field with L^2 > CHUNK
-        one exact chirp-z correlation."""
+        and L >= CHIRP_MIN one exact chirp-z correlation."""
         return self._dft(np.asarray(w, dtype=np.int64), 1, self.radices)
 
     def _dft(self, w: np.ndarray, s: int, radices: tuple[int, ...]) -> np.ndarray:
@@ -431,7 +438,7 @@ class FieldSpec:
         last axis of w, with root gamma^s."""
         n = w.shape[-1]
         if len(radices) == 1 or n * n <= CHUNK:
-            if self.r == 1 and n * n > CHUNK:
+            if self.r == 1 and n * n > CHUNK and n >= CHIRP_MIN:
                 return self._chirp(w, s)
             return np.moveaxis(self.power_sums(w, s * np.arange(n), 0, n), 0, -1)
         # k = ell * k2 + k1 and e = e1 + m * e2: the length-m transforms

@@ -11,23 +11,23 @@ array passes on the field's array kernel; cyclotomic_profile tests one
 period per prime factor of q - 1.
 
 is_irregular decides most maps in O(q) from the reduced degree D and the
-two top coefficients t_D, t_(D-1), minus the power sums sum_x t(x) * x^e
-at e = q - 1 - D and q - D.  _degrees, the one top-down walk, reads these
-sums for an (n, q) batch of maps from e = 0 in blocks of 1, 2, 4, ... rows
-of the field's power_sums kernel, and drops each map once its leading
-coefficient is found; reduced_degree, max_degree_member and the census
-histogram read degrees from it too.  For D >= 2 every translation
-T_g(x) = t(x + g) - t(g) has degree D and the x^(D-1) coefficient
-t_(D-1) + D * g * t_D, while a map cyclotomic of index (q - 1) / ell has
-the form x * P(x^ell), with terms only in degrees 1 (mod ell).  So t is
-irregular when no prime ell | q - 1 has D = 1 (mod ell); otherwise a
-cyclotomic T_g needs that coefficient to vanish, which for p not dividing
-D leaves the one translation g = -t_(D-1) / (D * t_D), and for p | D none
-unless t_(D-1) = 0.  Only the maps left over (D <= 1, D below the top rows
-read, or p | D with t_(D-1) = 0) get the scan of all q translations,
-O(q^2) in the worst case, which stops at the first block that holds a
-cyclotomic translation.  Their independent references are the brute-force
-oracles in tests/oracles.py.
+two top coefficients t_D, t_(D-1), minus the power sums sum_x t(x) * x^e at
+e = q - 1 - D and q - D.  _degrees reads these sums for an (n, q) batch of
+maps from e = 0 down to a given depth in one call of the field's power_sums
+kernel, and takes each map's degree from its first nonzero row;
+reduced_degree, max_degree_member and the census histogram read degrees
+from it too.  For D >= 2 every translation T_g(x) = t(x + g) - t(g) has
+degree D and the x^(D-1) coefficient t_(D-1) + D * g * t_D, while a map
+cyclotomic of index (q - 1) / ell has the form x * P(x^ell), with terms
+only in degrees 1 (mod ell).  So t is irregular when no prime ell | q - 1
+has D = 1 (mod ell); otherwise a cyclotomic T_g needs that coefficient to
+vanish, which for p not dividing D leaves the one translation
+g = -t_(D-1) / (D * t_D), and for p | D none unless t_(D-1) = 0.  One read
+of the top _CERTIFY_ROWS + 1 rows settles this for the whole batch.  Only
+the maps left over (D <= 1, D below the top rows, or p | D with
+t_(D-1) = 0) get the scan of all q translations, O(q^2) in the worst case,
+which stops at the first block that holds a cyclotomic translation.  Their
+independent references are the brute-force oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -237,60 +237,42 @@ def _cyclotomic(tg: np.ndarray, checks) -> np.ndarray:
     return hit
 
 
-def _sums(fs: FieldSpec, tables: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the power sums sum_x t(x) * x^e, with 0^0 = 1, of the
-    maps t in the rows of tables (n, q), shape (hi - lo, n): for e < q - 1,
-    minus the x^(q-1-e) coefficient of the reduced polynomial of t."""
-    s = fs.power_sums(tables[:, 1:], fs.log_array[1:], lo, hi)
-    if lo == 0 and tables[:, 0].any():  # node 0 adds t(0) to row 0 alone
+def _degrees(fs: FieldSpec, tables: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(degree, s) for the maps t in the rows of tables (n, q), from one
+    kernel read: s holds rows [0, min(rows, q - 1)) of the power sums
+    sum_x t(x) * x^e, with 0^0 = 1, shape (rows, n), row e being minus the
+    x^(q-1-e) coefficient of the reduced polynomial of t; degree is
+    q - 1 - e for the first nonzero row e of each map, -1 where none is."""
+    s = fs.power_sums(tables[:, 1:], fs.log_array[1:], 0, min(rows, fs.q - 1))
+    if tables[:, 0].any():  # node 0 adds t(0) to row 0 alone
         s[0] = fs.add_array(s[0], tables[:, 0])
-    return s
-
-
-def _degrees(fs: FieldSpec, tables: np.ndarray, rows: int, lo: int = 0) -> np.ndarray:
-    """The reduced degree of each row of tables (n, q), read from x^(q-1)
-    down through at most `rows` coefficients, -1 where it lies below them:
-    rows [lo, 2 lo + 1) of every map, then the rows below for the maps with
-    none nonzero there, so the blocks hold 1, 2, 4, ... rows."""
-    q1 = fs.q - 1
-    rows = min(rows, q1)
-    hi = min(2 * lo + 1, rows)
-    s = _sums(fs, tables, lo, hi)
-    # hi - e for the first nonzero row e of each map, 0 where none is
-    score = ((s != 0) * np.arange(hi - lo, 0, -1, dtype=np.int32)[:, None]).max(axis=0)
-    miss = score == 0
-    if hi < rows and miss.all():
-        return _degrees(fs, tables, rows, hi)
-    degree = np.where(miss, -1, q1 - hi + score)
-    if hi < rows and miss.any():
-        degree[miss] = _degrees(fs, tables[miss], rows, hi)
-    return degree
+    nz = s != 0
+    return np.where(nz.any(axis=0), fs.q - 1 - nz.argmax(axis=0), -1), s
 
 
 def _certify(fs: FieldSpec, tables: np.ndarray, checks) -> tuple[np.ndarray, np.ndarray]:
     """(path, irregular) for the rows of tables (n, q), orthomorphisms: how
     the degree certificate settles each row, one of CERTIFIED .. SCAN, and
     whether the row is irregular; rows with path >= P_DIVIDES_SCAN are left
-    to the translation scan and read False."""
-    path = np.full(len(tables), SCAN, dtype=np.int8)
-    irregular = np.zeros(len(tables), dtype=bool)
-    primes = distinct_prime_factors(fs.q - 1)
-    degree = _degrees(fs, tables, _CERTIFY_ROWS)
-    for d in np.flatnonzero(np.bincount(degree[degree >= 2])).tolist():
-        idx = np.flatnonzero(degree == d)
-        if all((d - 1) % ell for ell in primes):
-            path[idx], irregular[idx] = CERTIFIED, True
-            continue
-        s, below = _sums(fs, tables[idx], fs.q - 1 - d, fs.q + 1 - d)  # -t_D, -t_(D-1)
-        if d % fs.p == 0:  # the x^(D-1) coefficient of every T_g is t_(D-1)
-            path[idx] = np.where(below != 0, P_DIVIDES, P_DIVIDES_SCAN)
-            irregular[idx] = below != 0
-            continue
-        # t_(D-1) + D * g * t_D = 0, and below / s = t_(D-1) / t_D
-        denom = fs.mul_array(s, d % fs.p)
-        g = fs.mul_array(fs.sub_array(0, below),
-                         fs.exp_array[-fs.log_array[denom] % (fs.q - 1)])
-        path[idx] = ONE_TRANSLATION
+    to the translation scan and read False.  The read holds one row below
+    the top _CERTIFY_ROWS: t_(D-1) when t_D is on the last of them."""
+    q1 = fs.q - 1
+    degree, s = _degrees(fs, tables, _CERTIFY_ROWS + 1)
+    read = degree > max(1, q1 - _CERTIFY_ROWS)
+    lead = (q1 - degree) * read  # the row of -t_D, 0 where unread
+    below = s[lead + read, np.arange(len(tables))]  # -t_(D-1)
+    # for p | D the x^(D-1) coefficient of every T_g is t_(D-1)
+    path = np.where(degree % fs.p, ONE_TRANSLATION,
+                    np.where(below != 0, P_DIVIDES, P_DIVIDES_SCAN))
+    path[np.gcd(degree - 1, q1) == 1] = CERTIFIED  # no ell | q - 1 divides D - 1
+    path[~read] = SCAN
+    irregular = path <= P_DIVIDES  # the ONE_TRANSLATION rows are set below
+    idx = np.flatnonzero(path == ONE_TRANSLATION)
+    if len(idx):
+        # t_(D-1) + D * g * t_D = 0, and below / s[lead] = t_(D-1) / t_D
+        denom = fs.mul_array(s[lead[idx], idx], degree[idx] % fs.p)
+        g = fs.mul_array(fs.sub_array(0, below[idx]),
+                         fs.exp_array[-fs.log_array[denom] % q1])
         irregular[idx] = ~_cyclotomic(_translations(fs, tables[idx], g[:, None]), checks)
     return path, irregular
 

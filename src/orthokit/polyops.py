@@ -10,8 +10,9 @@ power_sums kernel on their nonzero nodes, O(k * q) for a map changed at k
 points.  tabulate and interpolate read every row: with nnz nonzero nodes
 that is O(q * nnz) on the kernel, or one field dft in O(q * sum(l_i)) over
 the prime factors l_i of q - 1 once nnz exceeds that sum.  reduced_degree
-settles degree <= 1 in O(q), reads the top _CERTIFY_ROWS coefficients with
-ortho's degree walk, and takes a degree below them from one full read.
+settles degree <= 1 in O(q), reads the top _CERTIFY_ROWS coefficients in
+one kernel call (ortho's _degrees), and a degree below them from one full
+read.
 The independent reference all of them are tested against is the textbook
 Lagrange interpolation in tests/oracles.py.
 """
@@ -118,8 +119,8 @@ def interpolate(t: MapTable) -> ReducedPoly:
 
 def reduced_degree(t: MapTable) -> int | None:
     """interpolate(t).degree.  A map of degree <= 1 is t(0) + (t(1) - t(0)) * x,
-    which one O(q) comparison settles; otherwise ortho's top-down walk reads
-    the top _CERTIFY_ROWS coefficients, O(q) each, and a degree below them
+    which one O(q) comparison settles; otherwise one kernel read takes the
+    top _CERTIFY_ROWS coefficients, O(q) each, and a degree below them
     comes from all q coefficients at once."""
     fs = t.field
     v = t.values
@@ -127,7 +128,7 @@ def reduced_degree(t: MapTable) -> int | None:
     slope = fs.sub(int(v[1]), t0)
     if np.array_equal(fs.add_array(fs.mul_array(np.arange(fs.q), slope), t0), v):
         return 1 if slope else 0 if t0 else None
-    degree = int(_degrees(fs, v[None], _CERTIFY_ROWS)[0])
+    degree = _degrees(fs, v[None], _CERTIFY_ROWS)[0].item()
     if degree < 0:  # below the top rows: read every coefficient at once
         degree = int(np.flatnonzero(_coeffs(fs, v))[-1])
     return degree

@@ -2,18 +2,20 @@
 brute-force irregularity oracle and against the translation scan."""
 
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
 from orthokit import (MapTable, NonexistenceError, cyclotomic_map,
-                      distance3_pair, even_char_theta, interpolate,
-                      is_irregular, is_orthomorphism, linear_map, prime_powers,
-                      translate)
+                      cyclotomic_profile, distance3_pair, even_char_theta,
+                      interpolate, is_irregular, is_orthomorphism, linear_map,
+                      prime_powers, reduced_poly, tabulate, translate)
 from orthokit.census import _irregular_count, _value_tuples
-from orthokit.ortho import (CERTIFIED, ONE_TRANSLATION, P_DIVIDES,
-                            P_DIVIDES_SCAN, SCAN, _certify, _period_checks,
-                            _scan)
+from orthokit.gf import distinct_prime_factors
+from orthokit.ortho import (_CERTIFY_ROWS, CERTIFIED, ONE_TRANSLATION,
+                            P_DIVIDES, P_DIVIDES_SCAN, SCAN, _certify,
+                            _degrees, _period_checks, _scan)
 
 from oracles import (OracleField, TabulatedField, is_irregular_table,
                      mrv_backtrack)
@@ -143,3 +145,85 @@ def test_certificate_matches_scan_on_census_maps(field, p, r):
     assert (irregular[decided] == ~regular[decided]).all()
     assert not irregular[~decided].any()
     assert _irregular_count(fs, tables) == int((~regular).sum())
+
+
+def _expected_path(fs, t):
+    """The certificate's path for t by the rule in ortho's comment, from
+    interpolate(t)'s D, t_D and t_(D-1)."""
+    c = interpolate(t).coeffs
+    d = len(c) - 1
+    if d <= 1 or fs.q - 1 - d >= _CERTIFY_ROWS:
+        return SCAN
+    if all((d - 1) % ell for ell in distinct_prime_factors(fs.q - 1)):
+        return CERTIFIED
+    if d % fs.p == 0:
+        return P_DIVIDES if c[d - 1] else P_DIVIDES_SCAN
+    return ONE_TRANSLATION
+
+
+def _random_poly_map(fs, rng, degrees):
+    """The map of a polynomial with random nonzero coefficients on degrees."""
+    coeffs = [0] * (max(degrees) + 1)
+    for j in degrees:
+        coeffs[j] = rng.randrange(1, fs.q)
+    return tabulate(reduced_poly(fs, coeffs))
+
+
+def test_degree_reads_take_one_kernel_call(field, kernel_rows):
+    """_degrees and _certify read a batch of four degrees >= 2, with the
+    paths CERTIFIED, ONE_TRANSLATION and P_DIVIDES, in one power_sums call
+    each."""
+    fs = field(2, 4)
+    rng = random.Random(16)
+    maps = [MapTable(fs, tuple(P_DIVIDES_WITNESSES[2, 4]))]  # D = 10
+    maps += [_random_poly_map(fs, rng, range(d + 1)) for d in (14, 13, 11)]
+    tables = np.array([t.values for t in maps])
+    checks = _period_checks(fs)
+    kernel_rows.clear()
+    degree, _ = _degrees(fs, tables, _CERTIFY_ROWS)
+    assert degree.tolist() == [10, 14, 13, 11]
+    assert kernel_rows == [_CERTIFY_ROWS]
+    kernel_rows.clear()
+    path, irregular = _certify(fs, tables, checks)
+    assert kernel_rows == [_CERTIFY_ROWS + 1]
+    assert path.tolist() == [P_DIVIDES, CERTIFIED, ONE_TRANSLATION, ONE_TRANSLATION]
+    assert path.tolist() == [_expected_path(fs, t) for t in maps]
+    assert irregular[:2].all()
+
+
+@pytest.mark.parametrize("p,r", [(61, 1), (3, 4), (2, 6)])
+def test_certificate_at_the_edge_of_the_rows_read(field, p, r):
+    """Leading coefficients on rows 6, 7 and 8 (D = q - 7, q - 8, q - 9):
+    every path as the rule gives it from interpolate, and every verdict.
+    D = q - 9 lies below the top rows, and at D = q - 8 the one translation
+    needs t_(D-1) from the extra row read below them."""
+    fs = field(p, r)
+    q = fs.q
+    rng = random.Random(q)
+    maps = []
+    for d in (q - 7, q - 8, q - 9):
+        maps += [(d, _random_poly_map(fs, rng, range(d + 1))),
+                 (d, _random_poly_map(fs, rng, [*range(d - 1), d]))]
+        ells = distinct_prime_factors(gcd(d - 1, q - 1))
+        if ells:
+            # x * P(x^ell) is cyclotomic; one nonzero translation of it is
+            # a regular map of degree d, found by its one translation
+            cyc = _random_poly_map(fs, rng, range(1, d + 1, ells[0]))
+            maps.append((d, translate(cyc, rng.randrange(1, q))))
+    tables = np.array([t.values for _, t in maps])
+    path, irregular = _certify(fs, tables, _period_checks(fs))
+    found_by_extra_row = False
+    for (d, t), got, irr in zip(maps, path.tolist(), irregular.tolist()):
+        want = _expected_path(fs, t)
+        assert got == want, (d, t.values.tolist())
+        if d == q - 9:
+            assert got == SCAN
+        if want == ONE_TRANSLATION:
+            c = interpolate(t).coeffs
+            g = fs.mul(fs.neg(c[d - 1]), fs.inv(fs.mul(d % fs.p, c[d])))
+            assert irr == (cyclotomic_profile(translate(t, g)).min_index is None)
+            found_by_extra_row |= d == q - 8 and not irr
+        else:
+            assert irr == (want in (CERTIFIED, P_DIVIDES))
+    # at GF(2^6) D = q - 8 is CERTIFIED: 55 shares no prime with 63
+    assert found_by_extra_row == (fs.q != 64)

@@ -546,16 +546,22 @@ def test_broken_field_table_exits_3_under_O(tmp_path):
 
 def test_import_leaves_numpy_fft_unloaded(tmp_path):
     # the chirp-z transform imports numpy.fft when it first runs: importing
-    # it costs about 1 ms and 0.6 MB, which every command would pay at start
+    # it costs about 1 ms and 0.6 MB, which every command would pay at start.
+    # pair 263 has a dft stage of 131, below CHIRP_MIN, so it stays unloaded
     import subprocess, sys
     from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, orthokit\nprint('numpy.fft' in sys.modules)\n"
+    code = ("import contextlib, io, sys, orthokit\n"
+            "from orthokit.cli import main\n"
+            "print('numpy.fft' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['pair', '263', '1'])\n"
+            "print(code, 'numpy.fft' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, cwd=tmp_path,
                           env={"PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n0 False\n"
 
 
 def test_repeat_invocations_byte_identical(capsys):

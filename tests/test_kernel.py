@@ -234,11 +234,12 @@ def test_roundtrip_medium_fields(field, p, r):
 
 
 #: Orders for the transform: (q - 1)^2 <= CHUNK (one power_sums call), q - 1
-#: prime (2^7, 2^13), p - 1 = 2 * prime (263, 1019) and other chirp-z
-#: leaves on prime fields (4099), and mixed radix on every field shape.
+#: prime (2^7, 2^13), p - 1 = 2 * prime with a kernel leaf below CHIRP_MIN
+#: (263) and chirp-z leaves from it on (347 at CHIRP_MIN itself, 1019),
+#: another chirp-z leaf (4099), and mixed radix on every field shape.
 DFT_FIELDS = [(7, 1), (2, 4), (3, 3), (2, 7), (3, 5), (2, 8), (263, 1), (7, 3),
-              (5, 4), (3, 6), (1019, 1), (2, 10), (2003, 1), (3, 7), (2, 12),
-              (4099, 1), (2, 13)]
+              (347, 1), (5, 4), (3, 6), (1019, 1), (2, 10), (2003, 1), (3, 7),
+              (2, 12), (4099, 1), (2, 13)]
 
 
 @pytest.mark.parametrize("p,r", DFT_FIELDS)
