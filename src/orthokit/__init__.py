@@ -17,9 +17,9 @@ from .polyops import (ReducedPoly, evaluate, hamming_distance, interpolate,
                       interpolate_delta, reduced_degree, reduced_poly, tabulate)
 from .construct import (OrthoPair, complete_partial, cubic_unique_root,
                         distance3_pair, even_char_theta, even_irregular_witness,
-                        lift_subfield_pair, linearized_pair, max_degree_member,
-                        max_degree_orthomorphism, near_linear_pair, pair_even_odd_power, pair_f125,
-                        small_prime_pair, swap_distance3)
+                        irregular_orthomorphism, lift_subfield_pair, linearized_pair,
+                        max_degree_member, max_degree_orthomorphism, near_linear_pair,
+                        pair_even_odd_power, pair_f125, small_prime_pair, swap_distance3)
 from .bitrade import Bitrade, Triple, build_bitrade, validate_homogeneous
 from .census import (ENUM_CAP, CensusReport, census, enumerate_orthomorphisms,
                      irregular_fraction)
@@ -36,10 +36,10 @@ __all__ = [
     "ReducedPoly", "evaluate", "hamming_distance", "interpolate",
     "interpolate_delta", "reduced_degree", "reduced_poly", "tabulate",
     "OrthoPair", "complete_partial", "cubic_unique_root", "distance3_pair",
-    "even_char_theta", "even_irregular_witness", "lift_subfield_pair",
-    "linearized_pair", "max_degree_member", "max_degree_orthomorphism",
-    "near_linear_pair", "pair_even_odd_power", "pair_f125", "small_prime_pair",
-    "swap_distance3",
+    "even_char_theta", "even_irregular_witness", "irregular_orthomorphism",
+    "lift_subfield_pair", "linearized_pair", "max_degree_member",
+    "max_degree_orthomorphism", "near_linear_pair", "pair_even_odd_power",
+    "pair_f125", "small_prime_pair", "swap_distance3",
     "Bitrade", "Triple", "build_bitrade", "validate_homogeneous",
     "ENUM_CAP", "CensusReport", "census", "enumerate_orthomorphisms",
     "irregular_fraction",

@@ -176,7 +176,7 @@ def build_bitrade(f: MapTable, g: MapTable) -> Bitrade:
     """Bitrade from orthomorphisms f and g of the same field; k is their
     Hamming distance and must be positive."""
     fs = f.field
-    if not fs.same_as(g.field):
+    if fs != g.field:
         raise PreconditionError("maps live over different fields")
     if not is_orthomorphism(f) or not is_orthomorphism(g):
         raise PreconditionError("both maps must be orthomorphisms")

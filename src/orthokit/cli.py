@@ -17,11 +17,11 @@ from typing import Iterator
 
 from .bitrade import build_bitrade, validate_homogeneous
 from .census import census
-from .construct import distance3_pair, even_irregular_witness, max_degree_member
+from .construct import distance3_pair, irregular_orthomorphism
 from .errors import PreconditionError, SearchExhaustedError
 from .gf import FieldSpec, build_field, field_from_json, json_int
 from .ortho import (_is_irregular, cyclotomic_profile, difference_map,
-                    is_irregular, is_permutation, map_table)
+                    is_permutation, map_table)
 from .polyops import (interpolate, interpolate_delta, reduced_degree,
                       reduced_poly, tabulate)
 
@@ -96,7 +96,7 @@ def _load_json(path: str) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise PreconditionError(f"cannot read JSON input: {e}")
     if not isinstance(doc, dict):
         raise PreconditionError("input JSON must be an object")
@@ -108,8 +108,8 @@ def cmd_verify(args) -> dict:
     try:
         spec = doc["field"]
         p, r = json_int(spec["p"], "p"), json_int(spec["r"], "r")
-        # r is bounded first, so a huge r costs no huge power
-        if p >= 2 and (r >= VERIFY_CAP.bit_length() or p**r > VERIFY_CAP):
+        # r is bounded first, so a huge r costs no huge power; build_field refuses r < 1
+        if p >= 2 and r >= 1 and (r >= VERIFY_CAP.bit_length() or p**r > VERIFY_CAP):
             raise PreconditionError(
                 f"verify is capped at q = {VERIFY_CAP}, got q = {p}^{r}: "
                 "the irregularity scan takes O(q^2) time on the maps its "
@@ -159,27 +159,8 @@ def cmd_census(args) -> dict:
 
 
 def cmd_irregular(args) -> dict:
-    fs = _build_from_args(args)
-    q = fs.q
-    if fs.p == 2 and q > 4:
-        a, c, t = even_irregular_witness(fs)
-        payload = t.to_json()
-        payload["branch"] = "even-theta"
-        payload["params"] = {"a": a, "c": c}
-        payload["irregular"] = True
-        return payload
-    if q > 7 and q % 3 != 1:
-        t = max_degree_member(fs, seed=args.seed)
-        if not is_irregular(t):
-            raise AssertionError("maximal-degree orthomorphism is not irregular")
-        payload = t.to_json()
-        payload["branch"] = "max-degree"
-        payload["degree"] = q - 3
-        payload["irregular"] = True
-        return payload
-    raise PreconditionError(
-        f"no irregular-orthomorphism construction applies to q={q}: "
-        "need even q > 4, or q > 7 with q not 1 mod 3")
+    t, how = irregular_orthomorphism(_build_from_args(args), seed=args.seed)
+    return t.to_json() | how | {"irregular": True}
 
 
 # built once per process: add_argument's gettext lookups and terminal-size

@@ -7,6 +7,10 @@ distance exactly 3) before returning, so a bug here surfaces as an exception
 rather than as a bad artifact downstream; provenance tags record which
 builder produced a pair.  Only the SMALL_SEARCH completion search reads a
 seed: over primes p = 2 (mod 3) above 5, and lifted from there by NON25.
+
+irregular_orthomorphism() decides which irregular construction applies:
+the first irregular even_char_theta for even q > 4, else the pair member
+of degree q - 3 for q > 7 with q not 1 mod 3.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class OrthoPair:
 
 
 def _verified_pair(f: MapTable, g: MapTable, provenance: str) -> OrthoPair:
-    if not f.field.same_as(g.field):
+    if f.field != g.field:
         raise AssertionError("pair members live over different fields")
     if not (is_orthomorphism(f) and is_orthomorphism(g)):
         raise AssertionError(f"construction {provenance} produced a non-orthomorphism")
@@ -443,11 +447,9 @@ def _prime_pair(fs: FieldSpec, seed: int) -> OrthoPair:
 
 
 def small_prime_pair(p: int, seed: int = 0) -> OrthoPair:
-    """Distance-3 pair over the prime field Z_p, p a prime outside {2, 5}."""
-    p = as_int(p, f"p={p} is not prime")
-    if p in (2, 5):
-        raise NonexistenceError(f"no distance-3 pair exists over GF({p})")
-    return _prime_pair(build_field(p, 1), seed)
+    """distance3_pair over the prime field Z_p; p = 2 and p = 5 raise its
+    NonexistenceError."""
+    return distance3_pair(build_field(p, 1), seed)
 
 
 def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
@@ -503,3 +505,21 @@ def max_degree_orthomorphism(spec: FieldSpec, seed: int = 0) -> ReducedPoly:
     if poly.degree != spec.q - 3:
         raise AssertionError("distance-3 pair member has no degree q-3 polynomial")
     return poly
+
+
+def irregular_orthomorphism(spec: FieldSpec, seed: int = 0) -> tuple[MapTable, dict]:
+    """An irregular orthomorphism of GF(q) and how it was built: branch
+    "even-theta" with the params (a, c) of even_irregular_witness, or
+    "max-degree" with the degree q - 3 of max_degree_member(spec, seed)."""
+    q = spec.q
+    if spec.p == 2 and q > 4:
+        a, c, t = even_irregular_witness(spec)
+        return t, {"branch": "even-theta", "params": {"a": a, "c": c}}
+    if q > 7 and q % 3 != 1:
+        t = max_degree_member(spec, seed)
+        if not is_irregular(t):
+            raise AssertionError("maximal-degree orthomorphism is not irregular")
+        return t, {"branch": "max-degree", "degree": q - 3}
+    raise PreconditionError(
+        f"no irregular-orthomorphism construction applies to q={q}: "
+        "need even q > 4, or q > 7 with q not 1 mod 3")

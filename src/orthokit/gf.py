@@ -40,13 +40,14 @@ Construction policy, fully deterministic:
   above, so a non-primitive gamma is refused (PreconditionError) and a
   fault in the table is an AssertionError.
 
-FieldSpec instances are frozen.
+FieldSpec instances are frozen, and compare and hash by value, by
+(p, r, q, modulus, gamma), which fix the tables.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -90,18 +91,7 @@ def as_int(value, reason: str) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return distinct_prime_factors(n) == [n]
 
 
 def prime_powers(limit: int) -> list[tuple[int, int, int]]:
@@ -240,18 +230,19 @@ def _exp_codes(mat, p: int, r: int) -> np.ndarray:
     return exp
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class FieldSpec:
     """Immutable description of GF(p^r) plus its arithmetic tables, two
-    read-only int64 arrays."""
+    read-only int64 arrays.  Fields compare and hash by (p, r, q, modulus,
+    gamma), which fix the tables."""
 
     p: int
     r: int
     q: int
     modulus: tuple[int, ...]  # monic, constant term first, length r + 1
     gamma: int
-    exp_array: np.ndarray  # exp_array[i] == gamma**i, length q - 1
-    log_array: np.ndarray  # inverse of exp on 1..q-1; log_array[0] == -1
+    exp_array: np.ndarray = field(compare=False)  # exp_array[i] == gamma**i, length q - 1
+    log_array: np.ndarray = field(compare=False)  # inverse of exp; log_array[0] == -1
 
     def __repr__(self) -> str:
         return (f"FieldSpec(p={self.p}, r={self.r}, q={self.q}, "
@@ -307,10 +298,6 @@ class FieldSpec:
     def prime_subfield(self) -> range:
         """The copy of Z_p inside the field: exactly the codes 0..p-1."""
         return range(self.p)
-
-    def same_as(self, other: "FieldSpec") -> bool:
-        return (self.p, self.r, self.modulus, self.gamma) == \
-            (other.p, other.r, other.modulus, other.gamma)
 
     def to_json(self) -> dict:
         return {"p": self.p, "r": self.r,

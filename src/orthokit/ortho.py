@@ -75,12 +75,11 @@ class MapTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MapTable):
             return NotImplemented
-        return (self.field.same_as(other.field)
+        return (self.field == other.field
                 and np.array_equal(self.values, other.values))
 
     def __hash__(self) -> int:
-        fs = self.field
-        return hash((fs.p, fs.r, fs.modulus, fs.gamma, self.values.tobytes()))
+        return hash((self.field, self.values.tobytes()))
 
     def to_json(self) -> dict:
         return {"field": self.field.to_json(), "values": self.values.tolist()}

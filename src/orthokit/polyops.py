@@ -145,7 +145,7 @@ def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
     transform per point.  y = 0 only touches x^0 and x^(q-1).  fp is
     trusted, not checked against f."""
     fs = f.field
-    if not (fs.same_as(g.field) and fs.same_as(fp.field)):
+    if not fs == g.field == fp.field:
         raise PreconditionError("maps live over different fields")
     u, v = f.values, g.values
     c = np.zeros(fs.q, dtype=np.int64)
@@ -154,6 +154,6 @@ def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
 
 
 def hamming_distance(f: MapTable, g: MapTable) -> int:
-    if not f.field.same_as(g.field):
+    if f.field != g.field:
         raise PreconditionError("maps live over different fields")
     return int(np.count_nonzero(f.values != g.values))

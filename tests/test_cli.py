@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from orthokit import (build_bitrade, build_field, distance3_pair, interpolate,
+from orthokit import (PreconditionError, build_bitrade, build_field,
+                      distance3_pair, interpolate, irregular_orthomorphism,
                       is_irregular, is_orthomorphism, map_table,
                       max_degree_orthomorphism, prime_powers, tabulate)
 from orthokit.cli import VERIFY_CAP, main
@@ -195,6 +196,40 @@ def test_verify_refuses_fields_above_cap_at_once(capsys, tmp_path, p, r):
     assert time.perf_counter() - start < 0.5  # no field is built
     assert code == 2 and doc["error"] == "PreconditionError"
     assert f"capped at q = {VERIFY_CAP}" in doc["reason"]
+
+
+def test_verify_refuses_negative_r_of_a_huge_p_at_once(capsys, tmp_path):
+    # the cap is not computed for r < 1, where p**r is a float that a huge p
+    # overflows; build_field refuses the degree instead
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"field": {"p": 10**400, "r": -1}, "values": [0]}))
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert "extension degree" in doc["reason"]
+
+
+UNREADABLE_JSON = {
+    "non-utf8": b'{"field": "\xff\xfe"}',
+    "long-int": b'{"field": ' + b"9" * 5000 + b"}",  # over the int-string digit limit
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_verify_unreadable_json_exits_2(capsys, tmp_path, monkeypatch, name, stdin):
+    path = tmp_path / "doc.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    if stdin:
+        import io
+        data = io.BytesIO(UNREADABLE_JSON[name])
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(data, encoding="utf-8"))
+        path = "-"
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert code == 2 and doc["error"] == "PreconditionError"
+    assert doc["reason"].startswith("cannot read JSON input")
 
 
 @pytest.mark.parametrize("command", ["field", "pair", "bitrade", "census",
@@ -449,6 +484,23 @@ def test_irregular_unsupported_fields_exit_2(capsys, p, r):
     assert code == 2 and doc["error"] == "PreconditionError"
 
 
+def test_irregular_orthomorphism_is_what_the_cli_prints(capsys):
+    # the CLI only formats the library's result, or its refusal
+    for p, r, q in prime_powers(343):
+        fs = build_field(p, r)
+        for seed in (0, 7):
+            code, doc = run_json(capsys, "irregular", str(p), str(r),
+                                 "--seed", str(seed))
+            if code == 2:
+                with pytest.raises(PreconditionError) as err:
+                    irregular_orthomorphism(fs, seed)
+                assert doc == {"error": "PreconditionError",
+                               "reason": str(err.value)}, q
+                continue
+            t, how = irregular_orthomorphism(fs, seed)
+            assert code == 0 and t.to_json() | how | {"irregular": True} == doc, q
+
+
 class _BoomParser:
     def parse_args(self, argv):
         class A:
@@ -510,8 +562,9 @@ def test_irregularity_check_exits_3_under_O(tmp_path):
     code = (
         "import sys\n"
         "import orthokit.cli as cli\n"
+        "import orthokit.construct as construct\n"
         "assert sys.flags.optimize and False\n"  # stripped under -O
-        "cli.is_irregular = lambda t: False\n"
+        "construct.is_irregular = lambda t: False\n"
         "sys.exit(cli.main(['irregular', '11', '1']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, cwd=tmp_path,

@@ -14,7 +14,7 @@ from orthokit import (ORDER_CAP, PreconditionError, ReducedPoly, build_bitrade,
                       cyclotomic_map, cyclotomic_profile, distance3_pair,
                       evaluate, even_char_theta, field_from_json, interpolate,
                       is_irregular, linear_map, prime_powers, reduced_degree,
-                      small_prime_pair, swap_distance3, translate,
+                      reduced_poly, small_prime_pair, swap_distance3, translate,
                       validate_homogeneous)
 from orthokit.gf import (_is_irreducible, _is_primitive, _low_digits, _scale,
                          _times, distinct_prime_factors, is_prime)
@@ -30,6 +30,11 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):
         assert is_prime(n) == (n in primes)
+    for n in range(-3, 5000):
+        trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == trial, n
+    assert is_prime(2**20 - 3) and is_prime(2**20 - 5)
+    assert not is_prime(2**20 - 1) and not is_prime(2**20 + 1)
 
 
 # -- deterministic construction policy -----------------------------------
@@ -453,13 +458,33 @@ def test_prime_powers():
 def test_json_roundtrip(field):
     for fs in (field(7, 1), field(2, 3, (1, 1, 0, 1)), field(5, 3, (3, 3, 0, 1))):
         again = field_from_json(fs.to_json())
-        assert again.same_as(fs)
+        assert again == fs
         assert again.exp_table == fs.exp_table
 
 
-def test_same_as_distinguishes_basis(field):
-    assert not field(5, 3).same_as(field(5, 3, (3, 3, 0, 1)))
-    assert field(7, 1).same_as(field(7, 1))
+def test_field_equality_distinguishes_basis(field):
+    assert field(5, 3) != field(5, 3, (3, 3, 0, 1))
+    assert field(7, 1) == field(7, 1)
+
+
+@pytest.mark.parametrize("p,r,modulus", [(7, 1, None), (3, 4, (2, 0, 0, 1, 1)),
+                                         (2, 5, (1, 0, 1, 0, 0, 1))])
+def test_fields_compare_and_hash_by_value(p, r, modulus):
+    # two separate builds, not the cached fixture, which hands out one object
+    a, b = build_field(p, r), build_field(p, r)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert reduced_poly(a, [0, 2, 1]) == reduced_poly(b, [0, 2, 1])
+    assert linear_map(a, 2) == linear_map(b, 2)
+    assert hash(linear_map(a, 2)) == hash(linear_map(b, 2))
+    # gamma^11 is primitive too, as 11 is prime to q - 1 here
+    gamma = int(a.exp_array[11 % (a.q - 1)])
+    others = [build_field(p, r, None if r == 1 else a.modulus, gamma)]
+    if modulus is not None:
+        others.append(build_field(p, r, modulus))
+    for other in others:
+        assert other != a and (other.modulus, other.gamma) != (a.modulus, a.gamma)
+        assert reduced_poly(other, [0, 2, 1]) != reduced_poly(a, [0, 2, 1])
+        assert linear_map(other, 2) != linear_map(a, 2)
 
 
 def test_repr_is_compact(field):
