@@ -42,6 +42,7 @@ F125_MODULUS = (3, 3, 0, 1)
 # reshuffled retries are allowed after the plain-order first attempt.
 _NODE_BUDGET_FACTOR = 50
 _RESTART_CAP = 64
+_FREE, _CLOSED = 1 << 32, 1 << 62  # search key units (see _mrv_backtrack)
 
 
 @dataclass(frozen=True)
@@ -170,65 +171,72 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     """Depth-first completion, always branching on a most-constrained open
     position.
 
-    free_v and free_d are bool arrays of unused values and unused
-    differences, updated in place.  The open positions fill the first n
-    slots of pos, in the order they were opened (open_pos order, a reopened
-    position going to the end), and cnt holds the number of values still
-    feasible at each.  So argmin picks the most constrained position, ties
-    going to the earliest, and each assignment or undo updates the counts
-    of all open positions in one array step.  A position's next value comes
-    from one masked scan of `order`, resumed after the value last tried
-    there; an undo restores the masks that value was found under, so the
-    count of values left untried says when no scan can find one.  Returns
-    a filled table, None when the node budget ran out, or the string
-    "infeasible" when the whole space was exhausted within budget.
+    free_v and free_d, bool arrays of unused values and differences, are
+    only read.  key[x] is count * 2^32 + rank at an open x, count being its
+    number of feasible values and ranks running in open_pos order, then
+    one more per reopening; other positions hold _CLOSED, so key.argmin()
+    picks the least count, ties going to the earliest opened.  wv and wd,
+    doubled, weigh each value and difference 2^32 while free and 0 once
+    used.  Assigning v0 = x0 + d0 takes the weights of v0 - x and x + d0
+    off every key, an undo adds them back: gathers on an extension field,
+    two slices on a prime field, of wv and of wdr = wd[::-1], a view with
+    wdr[i] = wd[-i mod q].  Each node scans `order` once, masked, resuming
+    after the value last tried; an undo restores the weights that value
+    was found under, so the count of untried values says when no scan can
+    find one.  Returns a filled table, None when the node budget ran out,
+    or "infeasible" when the whole space was exhausted within budget.
     """
-    sub, add = spec.sub_array, spec.add_array
+    # Ranks < 2^32 (reopenings <= nodes <= 50 * 2^20); open keys < 2^53; a
+    # closed key drifts at most 2q * 2^32 from 2^62 before it is overwritten.
+    q, sub, add = spec.q, spec.sub_array, spec.add_array
     n = len(open_pos)
     pos = np.array(open_pos, dtype=np.int64)
-    cnt = _start_counts(spec, free_v, free_d, pos)
+    key = np.full(q, _CLOSED, dtype=np.int64)
+    key[pos] = _start_counts(spec, free_v, free_d, pos) * _FREE + np.arange(n)
+    wv = np.tile(np.where(free_v, _FREE, 0), 2)
+    wdr = np.where(free_d, _FREE, 0)[-np.arange(2 * q + 1) % q]
+    wd, xs = wdr[::-1], np.arange(q)
     order = np.asarray(order, dtype=np.int64)
     # (x0, count, left, j, v0, d0): x0 took v0 = x0 + d0 with `left` of its
     # `count` feasible values still untried; its scan resumes at j
     frames: list[tuple[int, int, int, int, int, int]] = []
-    nodes = 0
+    nodes, rank = 0, n
 
     def lost(v0: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
-        # v0 at x0 takes from each other open x the values v0 and x + d0 where
-        # feasible; neither test reads the bits of v0 or d0, since x != x0
-        return free_d[sub(v0, pos[:n])], free_v[add(pos[:n], d0)]
+        # the weights of v0 - x and of x + d0 for every x
+        if spec.r == 1:
+            return wdr[q - v0:2 * q - v0], wv[d0:d0 + q]
+        return wd[sub(v0, xs)], wv[add(xs, d0)]
 
     while n:
-        s = int(cnt[:n].argmin())
-        x0, c0 = int(pos[s]), int(cnt[s])
-        left, j = c0, 0
+        x0 = int(key.argmin())
+        left = c0 = int(key[x0]) >> 32
+        j = 0
         while not left:
             if not frames:
                 return "infeasible"
             # undo the parent assignment and resume its value scan
             x0, c0, left, j, v0, d0 = frames.pop()
-            free_v[v0] = free_d[d0] = True
+            wv[v0::q] = wd[d0::q] = _FREE
             for back in lost(v0, d0):
-                cnt[:n] += back
+                key += back
             theta[x0] = -1
-            s = n
-            pos[s], cnt[s] = x0, c0
-            n += 1
+            key[x0] = c0 * _FREE + rank
+            rank, n = rank + 1, n + 1
         tail = order[j:]
         diff = sub(tail, x0)
-        ok = free_v[tail] & free_d[diff]
+        ok = wv[tail] & wd[diff]
         k = int(ok.argmax())
         nodes += 1
         if nodes > budget:
             return None
         v0, d0 = int(tail[k]), int(diff[k])
         theta[x0] = v0
+        key[x0] = _CLOSED
         n -= 1
-        pos[s:n] = pos[s + 1:n + 1]
-        cnt[s:n] = cnt[s + 1:n + 1]
-        free_v[v0] = free_d[d0] = False
+        wv[v0::q] = wd[d0::q] = 0
         for gone in lost(v0, d0):
-            cnt[:n] -= gone
+            key -= gone
         frames.append((x0, c0, left - 1, j + k + 1, v0, d0))
     return theta
 
@@ -245,6 +253,7 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
     """
     q = spec.q
     z, k, e = (as_int(v, "z, k and e must be integers") for v in (z, k, e))
+    seed = as_int(seed, "seed must be an integer")
     if q % 2 == 0:
         raise PreconditionError("completion requires odd q")
     if not 0 <= z < q or z in (0, 1):
@@ -271,8 +280,7 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
         theta[0] = 0
         theta[1] = z
         theta[k] = e
-        done = _mrv_backtrack(spec, theta, free_v.copy(), free_d.copy(),
-                              open_pos, order, budget)
+        done = _mrv_backtrack(spec, theta, free_v, free_d, open_pos, order, budget)
         if done == "infeasible":
             break  # the whole space was explored: no restart can help
         if done is not None:
@@ -457,6 +465,7 @@ def distance3_pair(spec: FieldSpec, seed: int = 0) -> OrthoPair:
     every prime power except 2, 5 and 8.  seed affects only the SMALL_SEARCH
     pairs and their NON25 lifts (see the module docstring)."""
     q = spec.q
+    seed = as_int(seed, "seed must be an integer")
     if q in (2, 5, 8):
         raise NonexistenceError(
             f"no orthomorphism pair at Hamming distance 3 exists over GF({q})")
@@ -512,6 +521,7 @@ def irregular_orthomorphism(spec: FieldSpec, seed: int = 0) -> tuple[MapTable, d
     "even-theta" with the params (a, c) of even_irregular_witness, or
     "max-degree" with the degree q - 3 of max_degree_member(spec, seed)."""
     q = spec.q
+    seed = as_int(seed, "seed must be an integer")
     if spec.p == 2 and q > 4:
         a, c, t = even_irregular_witness(spec)
         return t, {"branch": "even-theta", "params": {"a": a, "c": c}}

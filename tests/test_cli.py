@@ -673,6 +673,17 @@ STDOUT_SHA256 = {
         "8d46ae061b4783076244ae900bf6e39db7a5277754831ec71343c9fe19f75d57",
     ("pair", "1019", "1"):
         "989cc450d977f3f9469c23941f96405c5ac1451b36e352bb92756bb3faec1ebe",
+    # commands that run the completion search (SMALL_SEARCH, and its NON25
+    # lift at 11^2), written while the search kept its open positions
+    # compacted in a position array, before one key per field element
+    ("pair", "191", "1"):
+        "70bca193a5f25a873955d41f2993ba12faa34766aa394d91e7027be08d298ed8",
+    ("bitrade", "11", "2"):
+        "75a6beb60fa0fd4cc4f49c385adfdc458599939ea21450ef9bf0df491b706f61",
+    ("irregular", "317", "1"):
+        "00b5fdb6c9dc4643ee164761e70b42820fec53395750884328eccd1b55d1ea7b",
+    ("pair", "29", "1"):
+        "6cd9ecaf73fc54848104bf38d3eac120e7689222d3d834d68e13cdeb41d1e7e3",
 }
 
 

@@ -334,6 +334,23 @@ def test_engine_matches_reference_from_general_masks(field, p, r):
             assert budget == 3 or isinstance(got[0], list)
 
 
+@pytest.mark.parametrize("budget", [500, 9450])
+def test_engine_matches_reference_backtracking_above_128(field, budget):
+    # the hard GF(191) pins in the plain order run out of budget after
+    # heavy backtracking, so the partial tables are compared as well; the
+    # caller's masks come back as they went in
+    fs = field(191, 1)
+    pins = {0: 0, 1: 164, 59: 156}
+    got, ref = _engine_and_reference(fs, pins, list(range(191)), budget)
+    assert got[0] is None and got == ref
+    free_v, free_d = _free_masks(fs, pins)
+    masks = free_v.copy(), free_d.copy()
+    theta = [pins.get(x, -1) for x in range(191)]
+    _mrv_backtrack(fs, theta, free_v, free_d, [x for x in range(191) if x not in pins],
+                   list(range(191)), budget)
+    assert np.array_equal(free_v, masks[0]) and np.array_equal(free_d, masks[1])
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("q,z,k,e,attempts", [(191, 164, 59, 156, 4),
                                               (2003, 2, 2, 1, 1)])

@@ -13,8 +13,9 @@ from orthokit import (ORDER_CAP, PreconditionError, ReducedPoly, build_bitrade,
                       build_field, census, complete_partial, cubic_unique_root,
                       cyclotomic_map, cyclotomic_profile, distance3_pair,
                       evaluate, even_char_theta, field_from_json, interpolate,
-                      is_irregular, linear_map, prime_powers, reduced_degree,
-                      reduced_poly, small_prime_pair, swap_distance3, translate,
+                      irregular_orthomorphism, is_irregular, linear_map,
+                      prime_powers, reduced_degree, reduced_poly,
+                      small_prime_pair, swap_distance3, translate,
                       validate_homogeneous)
 from orthokit.gf import (_is_irreducible, _is_primitive, _low_digits, _scale,
                          _times, distinct_prime_factors, is_prime)
@@ -426,6 +427,12 @@ INTEGER_ARGUMENTS = {
     "cubic_unique_root.a": (lambda f, v: cubic_unique_root(f(2, 3), v, 3), 2),
     "cubic_unique_root.b": (lambda f, v: cubic_unique_root(f(2, 3), 2, v), 3),
     "small_prime_pair": (lambda f, v: small_prime_pair(v), 7),
+    "complete_partial.seed": (lambda f, v: complete_partial(f(11, 1), 2, 2, 1, v), 0),
+    "distance3_pair.seed": (lambda f, v: distance3_pair(f(11, 1), v), 0),
+    "small_prime_pair.seed": (lambda f, v: small_prime_pair(11, v), 0),
+    # at q = 16 the even branch never reaches distance3_pair
+    "irregular_orthomorphism.seed.q16": (lambda f, v: irregular_orthomorphism(f(2, 4), v), 0),
+    "irregular_orthomorphism.seed.q11": (lambda f, v: irregular_orthomorphism(f(11, 1), v), 0),
 }
 
 
