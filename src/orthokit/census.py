@@ -13,9 +13,9 @@ only in its constant term, and each translation t(x + g) - t(g) subtracts c
 away.  As H(t1 + c1, t2 + c2) = H(t1, t2 + (c2 - c1)), the minimum distance
 runs over normalized pairs and every shift.  Each stage is an array pass
 over the (n, q) table of normalized maps on the field's array kernel: the
-degree histogram reads every map's degree from one kernel read of all
-q - 1 rows, and the irregular count runs is_irregular's degree
-certificate, one read of the top rows, over the whole table (see ortho).
+degree histogram reads every map's degree from ortho's _degrees, one field
+transform of all q - 1 rows, and the irregular count runs is_irregular's
+degree certificate, one read of the top rows, over the whole table.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ log_array; digit_array is built on first use), and its arithmetic is one
 array kernel: elementwise add_array / sub_array / mul_array, a field sum
 along an axis, and power_sums, the one kernel for sums of weighted powers
 of gamma, O(q) per row and node, and dft, all q - 1 rows of it at once in
-O(q * sum(l_i)) over the prime factors l_i of q - 1.  Addition has three
-branches: mod p for primes, XOR for p == 2, digit-wise mod p otherwise.
-The scalar operations are that kernel applied to ints and return ints.
-The map and polynomial routines in ortho and polyops run on the kernel,
-in chunks of about CHUNK elements.  Tuple
-copies of the two tables are built on first read, for callers outside the
-package that want plain ints; the package itself never reads them.
+O(q * sum(l_i)) over the prime factors l_i of q - 1; transform alone
+chooses between them.  Addition has three branches: mod p for primes, XOR
+for p == 2, digit-wise mod p otherwise.  The scalar add, sub, neg and trace
+are the kernel on ints; mul, inv, pow and coset_index are .item() reads of
+the tables; all return ints.  The map and polynomial routines in ortho and
+polyops run on the kernel, in chunks of about CHUNK elements.  Tuple copies
+of the two tables, built on first read, are for callers outside the package.
 
 The tables are built with one multiplication, the multiplier of a: the
 r x r matrix M_a of x -> a*x on base-p digit rows, digits(x*a) ==
@@ -410,14 +410,30 @@ class FieldSpec:
                 n //= ell
         return tuple(out)
 
+    def transform(self, w: np.ndarray, m: np.ndarray, rows: int) -> np.ndarray:
+        """power_sums(w, m, 0, rows), distinct m < q - 1, rows <= q - 1, and the
+        one choice of kernel or dft: a read of all rows at (q - 1)^2 > CHUNK is
+        one dft if over sum(radices) nodes are nonzero in some map, else one
+        kernel call on just those; any other read is one kernel call as given."""
+        q1 = self.q - 1
+        if rows < q1 or q1 * q1 <= CHUNK:
+            return self.power_sums(w, m, 0, rows)
+        cut, flat = sum(self.radices), w.reshape(-1, w.shape[-1])
+        if (np.count_nonzero(flat[:1]) <= cut  # 0 in every map means 0 in the first
+                and len(k := np.flatnonzero(flat.any(axis=0))) <= cut):
+            return self.power_sums(w.take(k, axis=-1), m.take(k), 0, q1)
+        dense = np.zeros((*w.shape[:-1], q1), dtype=np.int64)
+        dense[..., m] = w
+        return np.moveaxis(self.dft(dense), -1, 0)
+
     def dft(self, w: np.ndarray) -> np.ndarray:
         """The discrete Fourier transform of length q - 1 with root gamma:
         out[..., e] is the field sum over k of w[..., k] * gamma^(k * e), for
         w of shape (..., q - 1), which is power_sums(w, arange(q - 1), 0,
         q - 1) with the row axis last.  Mixed radix (Cooley-Tukey) over the
         radices; a stage of length L with L^2 <= CHUNK, or of prime length,
-        is one batched power_sums call, or on a prime field with L^2 > CHUNK
-        and L >= CHIRP_MIN one exact chirp-z correlation."""
+        is one batched power_sums call, or on a prime field with L prime and
+        L >= CHIRP_MIN (so L^2 > CHUNK) one exact chirp-z correlation."""
         return self._dft(np.asarray(w, dtype=np.int64), 1, self.radices)
 
     def _dft(self, w: np.ndarray, s: int, radices: tuple[int, ...]) -> np.ndarray:
@@ -425,7 +441,7 @@ class FieldSpec:
         last axis of w, with root gamma^s."""
         n = w.shape[-1]
         if len(radices) == 1 or n * n <= CHUNK:
-            if self.r == 1 and n * n > CHUNK and n >= CHIRP_MIN:
+            if self.r == 1 and n >= CHIRP_MIN:
                 return self._chirp(w, s)
             return np.moveaxis(self.power_sums(w, s * np.arange(n), 0, n), 0, -1)
         # k = ell * k2 + k1 and e = e1 + m * e2: the length-m transforms

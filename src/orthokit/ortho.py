@@ -12,11 +12,11 @@ period per prime factor of q - 1.
 
 is_irregular decides most maps in O(q) from the reduced degree D and the
 two top coefficients t_D, t_(D-1), minus the power sums sum_x t(x) * x^e at
-e = q - 1 - D and q - D.  _degrees reads these sums for an (n, q) batch of
-maps from e = 0 down to a given depth in one call of the field's power_sums
-kernel, and takes each map's degree from its first nonzero row;
-reduced_degree, max_degree_member and the census histogram read degrees
-from it too.  For D >= 2 every translation T_g(x) = t(x + g) - t(g) has
+e = q - 1 - D and q - D.  _sums reads these sums for an (n, q) batch of
+maps from e = 0 down to a given depth in one field transform, the only
+read of a table's power sums, interpolation's too; _degrees takes each
+map's degree from its first nonzero row (reduced_degree, max_degree_member,
+census).  For D >= 2 every translation T_g(x) = t(x + g) - t(g) has
 degree D and the x^(D-1) coefficient t_(D-1) + D * g * t_D, while a map
 cyclotomic of index (q - 1) / ell has the form x * P(x^ell), with terms
 only in degrees 1 (mod ell).  So t is irregular when no prime ell | q - 1
@@ -236,15 +236,20 @@ def _cyclotomic(tg: np.ndarray, checks) -> np.ndarray:
     return hit
 
 
-def _degrees(fs: FieldSpec, tables: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(degree, s) for the maps t in the rows of tables (n, q), from one
-    kernel read: s holds rows [0, min(rows, q - 1)) of the power sums
-    sum_x t(x) * x^e, with 0^0 = 1, shape (rows, n), row e being minus the
-    x^(q-1-e) coefficient of the reduced polynomial of t; degree is
-    q - 1 - e for the first nonzero row e of each map, -1 where none is."""
-    s = fs.power_sums(tables[:, 1:], fs.log_array[1:], 0, min(rows, fs.q - 1))
+def _sums(fs: FieldSpec, tables: np.ndarray, rows: int) -> np.ndarray:
+    """Rows [0, min(rows, q - 1)) of the power sums sum_x t(x) * x^e, 0^0 = 1,
+    of the maps t in the rows of tables (n, q), shape (rows, n), row e minus
+    t's x^(q-1-e) coefficient: the package's one read of a table's sums."""
+    s = fs.transform(tables[:, 1:], fs.log_array[1:], min(rows, fs.q - 1))
     if tables[:, 0].any():  # node 0 adds t(0) to row 0 alone
         s[0] = fs.add_array(s[0], tables[:, 0])
+    return s
+
+
+def _degrees(fs: FieldSpec, tables: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(degree, s), s = _sums(fs, tables, rows) and degree q - 1 - e for the
+    first nonzero row e of each map, -1 where none is."""
+    s = _sums(fs, tables, rows)
     nz = s != 0
     return np.where(nz.any(axis=0), fs.q - 1 - nz.argmax(axis=0), -1), s
 

@@ -5,14 +5,13 @@ GF(q) is x^q - x, whose derivative is the constant -1: coefficient j >= 1
 of the interpolant of t is minus the power sum sum_x t(x) * x^(q-1-j), with
 0^0 = 1, and coefficient 0 is t(0), so no denominators ever need inverting.
 Evaluating a polynomial at gamma^i is the same sum over its nonzero
-coefficients.  evaluate (one row) and interpolate_delta run the field's
-power_sums kernel on their nonzero nodes, O(k * q) for a map changed at k
-points.  tabulate and interpolate read every row: with nnz nonzero nodes
-that is O(q * nnz) on the kernel, or one field dft in O(q * sum(l_i)) over
-the prime factors l_i of q - 1 once nnz exceeds that sum.  reduced_degree
-settles degree <= 1 in O(q), reads the top _CERTIFY_ROWS coefficients in
-one kernel call (ortho's _degrees), and a degree below them from one full
-read.
+coefficients.  evaluate is one row of the field's power_sums kernel; every
+other read is one field transform, the kernel on the nnz nonzero nodes in
+O(q * nnz) or one dft in O(q * sum(l_i)), l_i the prime factors of q - 1.
+tabulate transforms the coefficients; interpolate reads ortho's _sums of
+-t, interpolate_delta those of f - g, O(k * q) for k changed points.
+reduced_degree settles degree <= 1 in O(q), reads the top _CERTIFY_ROWS
+coefficients in one kernel call, and a degree below them in one full read.
 The independent reference all of them are tested against is the textbook
 Lagrange interpolation in tests/oracles.py.
 """
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gf import FieldSpec, as_int, json_int
-from .ortho import _CERTIFY_ROWS, MapTable, _degrees
+from .ortho import _CERTIFY_ROWS, MapTable, _degrees, _sums
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,6 @@ def reduced_poly(field: FieldSpec, coeffs) -> ReducedPoly:
     return ReducedPoly(field, tuple(cs))
 
 
-def _transform(fs: FieldSpec, k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row i < q - 1 is the field sum over the nodes of w[j] * gamma^(i * k[j]),
-    for distinct exponents k below q - 1: the power_sums kernel on the nodes,
-    or one dft once they outnumber sum(fs.radices), dft's cost per element."""
-    if len(k) <= sum(fs.radices):
-        return fs.power_sums(w, k, 0, fs.q - 1)
-    dense = np.zeros(fs.q - 1, dtype=np.int64)
-    dense[k] = w
-    return fs.dft(dense)
-
-
 def evaluate(f: ReducedPoly, x: int) -> int:
     fs = f.field
     if not 0 <= (x := as_int(x, f"x={x} is not an element code")) < fs.q:
@@ -96,41 +84,30 @@ def tabulate(f: ReducedPoly) -> MapTable:
     vals[0] = c[0]
     if c[-1]:  # x^(q-1) is 1 at every gamma^i, as x^0 is
         c[0] = fs.add(int(c[0]), int(c[-1]))
-    j = np.flatnonzero(c[:-1])
-    vals[fs.exp_array] = _transform(fs, j, c[j])
+    vals[fs.exp_array] = fs.transform(c[:-1], np.arange(fs.q - 1), fs.q - 1)
     return MapTable(fs, vals)
-
-
-def _coeffs(fs: FieldSpec, v: np.ndarray) -> np.ndarray:
-    """All q coefficients of the reduced polynomial of the table v: v(0), then
-    minus the power sums sum_x v(x) * x^e (0^0 = 1) for e = q - 2 down to 0,
-    from _transform of the nonzero nodes with their values negated."""
-    ty = v[fs.exp_array]
-    k = np.flatnonzero(ty)
-    c = _transform(fs, k, fs.sub_array(0, ty[k]))[::-1]
-    c[-1] = fs.sub(int(c[-1]), int(v[0]))  # node 0 adds v(0) to e = 0 alone
-    return np.concatenate([v[:1], c])
 
 
 def interpolate(t: MapTable) -> ReducedPoly:
     """The unique reduced polynomial agreeing with t on every element."""
-    return ReducedPoly(t.field, _trimmed(_coeffs(t.field, t.values)))
+    fs, v = t.field, t.values
+    s = _sums(fs, fs.sub_array(0, v)[None], fs.q - 1)[::-1, 0]
+    return ReducedPoly(fs, _trimmed(np.concatenate([v[:1], s])))
 
 
 def reduced_degree(t: MapTable) -> int | None:
     """interpolate(t).degree.  A map of degree <= 1 is t(0) + (t(1) - t(0)) * x,
     which one O(q) comparison settles; otherwise one kernel read takes the
     top _CERTIFY_ROWS coefficients, O(q) each, and a degree below them
-    comes from all q coefficients at once."""
-    fs = t.field
-    v = t.values
+    comes from one read of every row."""
+    fs, v = t.field, t.values
     t0 = int(v[0])
     slope = fs.sub(int(v[1]), t0)
     if np.array_equal(fs.add_array(fs.mul_array(np.arange(fs.q), slope), t0), v):
         return 1 if slope else 0 if t0 else None
     degree = _degrees(fs, v[None], _CERTIFY_ROWS)[0].item()
-    if degree < 0:  # below the top rows: read every coefficient at once
-        degree = int(np.flatnonzero(_coeffs(fs, v))[-1])
+    if degree < 0:  # below the top rows: read every row at once
+        degree = _degrees(fs, v[None], fs.q - 1)[0].item()
     return degree
 
 
@@ -141,16 +118,18 @@ def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
     Interpolation is linear, so g's polynomial is fp plus that of g - f,
     whose only nonzero nodes are those points: changing the value at y by
     delta adds delta * (1 - (x - y)^(q-1)), and over GF(q)
-    (x - y)^(q-1) = sum over j of x^j * y^(q-1-j), one row pass of the
-    transform per point.  y = 0 only touches x^0 and x^(q-1).  fp is
-    trusted, not checked against f."""
+    (x - y)^(q-1) = sum over j of x^j * y^(q-1-j): coefficient j >= 1 gains
+    row q - 1 - j of the power sums of f - g, and coefficient 0 is g(0).
+    fp is trusted, not checked against f."""
     fs = f.field
     if not fs == g.field == fp.field:
         raise PreconditionError("maps live over different fields")
     u, v = f.values, g.values
     c = np.zeros(fs.q, dtype=np.int64)
     c[:len(fp.coeffs)] = fp.coeffs
-    return ReducedPoly(fs, _trimmed(fs.add_array(c, _coeffs(fs, fs.sub_array(v, u)))))
+    c[0] = v[0]
+    c[1:] = fs.add_array(c[1:], _sums(fs, fs.sub_array(u, v)[None], fs.q - 1)[::-1, 0])
+    return ReducedPoly(fs, _trimmed(c))
 
 
 def hamming_distance(f: MapTable, g: MapTable) -> int:

@@ -10,6 +10,7 @@ from orthokit import (NonexistenceError, build_field, cyclotomic_map,
                       cyclotomic_profile, difference_map, distance3_pair,
                       interpolate, is_irregular, is_orthomorphism, linear_map,
                       map_table, reduced_poly, tabulate, translate)
+from orthokit.gf import CHIRP_MIN, CHUNK
 
 from oracles import (OracleField, cyclotomic_min_index, difference_table,
                      is_irregular_table, lagrange_interpolate, poly_degree,
@@ -244,6 +245,8 @@ DFT_FIELDS = [(7, 1), (2, 4), (3, 3), (2, 7), (3, 5), (2, 8), (263, 1), (7, 3),
 
 @pytest.mark.parametrize("p,r", DFT_FIELDS)
 def test_dft_matches_power_sums_on_every_row(field, p, r):
+    # a chirp-z stage is never one chunk, so _dft's rule needs no L^2 test
+    assert CHIRP_MIN ** 2 > CHUNK
     fs = field(p, r)
     q1 = fs.q - 1
     rng = np.random.default_rng(fs.q)
@@ -260,6 +263,32 @@ def test_dft_matches_power_sums_on_every_row(field, p, r):
             assert np.array_equal(fs.dft(row), single)
         assert np.array_equal(fs.dft(w[:, None]), got[:, None])
         assert not fs.dft(np.zeros(q1, dtype=np.int64)).any()
+    # the field's transform is power_sums(w, m, 0, rows) whichever way it
+    # reads: top rows, full reads on either side of the dft threshold, nodes
+    # in code order as ortho's _sums passes them, and zero columns
+    every, want_rows = np.arange(q1), np.moveaxis(want, -1, 0)
+    for rows in (1, 3, 9):
+        if rows < q1:
+            assert np.array_equal(fs.transform(w, every, rows), want_rows[:rows])
+    nodes = rng.permutation(q1)
+    dense = sum(fs.radices)
+    for k in sorted({0, 1, min(dense, q1), min(dense + 1, q1), q1}):
+        sparse = np.zeros(q1, dtype=np.int64)
+        sparse[nodes[:k]] = rng.integers(1, fs.q, size=k)
+        # a zero weight adds nothing, so the kernel may skip those nodes
+        assert np.array_equal(fs.transform(sparse, every, q1),
+                              fs.power_sums(sparse[nodes[:k]], nodes[:k], 0, q1)), k
+    tables = np.zeros((len(w), fs.q), dtype=np.int64)
+    tables[:, fs.exp_array] = w
+    assert np.array_equal(fs.transform(tables[:, 1:], fs.log_array[1:], q1), want_rows)
+    # column 1 is 0 in every map; with a sparse first map, the columns 0 in
+    # every map are dropped before the choice
+    batch = w.copy()
+    batch[:, 1] = 0
+    sparse_first = batch.copy()
+    sparse_first[0, 2:] = 0
+    for b in (batch, sparse_first):
+        assert np.array_equal(fs.transform(b, every, q1), fs.power_sums(b, every, 0, q1))
 
 
 @pytest.mark.parametrize("p", [65543, 1048343, 1048573])

@@ -3,6 +3,7 @@ Lagrange oracle."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,6 +328,30 @@ def test_interpolate_delta_on_every_pair(field, seed):
         got = interpolate_delta(interpolate(pair.f), pair.f, pair.g)
         assert got == interpolate(pair.g), q
 
+
+
+@pytest.mark.parametrize("p,r", [(2, 10), (1019, 1)])
+def test_interpolate_delta_of_a_pair_is_one_kernel_read(field, kernel_rows, p, r):
+    # the three changed points are the only nodes: one power_sums call of
+    # q - 1 rows, where a dft would add a call per stage of its radices
+    fs = field(p, r)
+    pair = distance3_pair(fs)
+    fp, want = interpolate(pair.f), interpolate(pair.g)
+    kernel_rows.clear()
+    assert interpolate_delta(fp, pair.f, pair.g) == want
+    assert kernel_rows == [fs.q - 1]
+
+
+def test_tabulate_of_a_linearized_polynomial_is_one_kernel_read(field, kernel_rows):
+    # x^5 - b*x at 5^5: two nonzero coefficients, one power_sums call
+    fs = field(5, 5)
+    b = 2
+    kernel_rows.clear()
+    t = tabulate(reduced_poly(fs, [0, fs.neg(b), 0, 0, 0, 1]))
+    assert kernel_rows == [fs.q - 1]
+    x = np.arange(fs.q)
+    x5 = fs.mul_array(fs.mul_array(fs.mul_array(x, x), fs.mul_array(x, x)), x)
+    assert t.values.tolist() == fs.sub_array(x5, fs.mul_array(x, b)).tolist()
 
 
 def _horner(of, coeffs):
