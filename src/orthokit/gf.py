@@ -411,16 +411,15 @@ class FieldSpec:
         return tuple(out)
 
     def transform(self, w: np.ndarray, m: np.ndarray, rows: int) -> np.ndarray:
-        """power_sums(w, m, 0, rows), distinct m < q - 1, rows <= q - 1, and the
-        one choice of kernel or dft: a read of all rows at (q - 1)^2 > CHUNK is
-        one dft if over sum(radices) nodes are nonzero in some map, else one
-        kernel call on just those; any other read is one kernel call as given."""
-        q1 = self.q - 1
-        if rows < q1 or q1 * q1 <= CHUNK:
+        """power_sums(w, m, 0, rows), distinct m < q - 1, rows <= q - 1: the one
+        choice of kernel or dft.  Fewer rows, or a batch at (q - 1)^2 <= CHUNK
+        (where dft is one kernel call), read the nodes as given; any other
+        read drops those 0 in every map, and is dft if over sum(radices) stay."""
+        q1, flat = self.q - 1, w.reshape(-1, w.shape[-1])
+        if rows < q1 or len(flat) > 1 and q1 * q1 <= CHUNK:
             return self.power_sums(w, m, 0, rows)
-        cut, flat = sum(self.radices), w.reshape(-1, w.shape[-1])
-        if (np.count_nonzero(flat[:1]) <= cut  # 0 in every map means 0 in the first
-                and len(k := np.flatnonzero(flat.any(axis=0))) <= cut):
+        k = np.flatnonzero(flat.any(axis=0))
+        if len(k) <= sum(self.radices):
             return self.power_sums(w.take(k, axis=-1), m.take(k), 0, q1)
         dense = np.zeros((*w.shape[:-1], q1), dtype=np.int64)
         dense[..., m] = w

@@ -115,12 +115,11 @@ def interpolate_delta(fp: ReducedPoly, f: MapTable, g: MapTable) -> ReducedPoly:
     """interpolate(g), given fp = interpolate(f), in O(q) per point where f
     and g differ.
 
-    Interpolation is linear, so g's polynomial is fp plus that of g - f,
-    whose only nonzero nodes are those points: changing the value at y by
-    delta adds delta * (1 - (x - y)^(q-1)), and over GF(q)
-    (x - y)^(q-1) = sum over j of x^j * y^(q-1-j): coefficient j >= 1 gains
-    row q - 1 - j of the power sums of f - g, and coefficient 0 is g(0).
-    fp is trusted, not checked against f."""
+    Interpolation is linear: changing the value at y by delta adds
+    delta * (1 - (x - y)^(q-1)), and (x - y)^(q-1) = sum over j of
+    x^j * y^(q-1-j), so coefficient j >= 1 is fp's plus row q - 1 - j of the
+    power sums of f - g, whose only nonzero nodes are those points.
+    Coefficient 0 is g(0), read from g.  fp is trusted, not checked against f."""
     fs = f.field
     if not fs == g.field == fp.field:
         raise PreconditionError("maps live over different fields")
