@@ -7,17 +7,20 @@ import argparse
 import json
 import time
 
-from orthokit import build_field, distance3_pair, prime_powers, reduced_degree
+from orthokit import (ORDER_CAP, build_field, distance3_pair, prime_powers,
+                      reduced_degree)
 
 
 def main():
     ap = argparse.ArgumentParser(
         description="distance-3 orthomorphism pair sweep over prime powers")
     ap.add_argument("--max-q", type=int, default=343,
-                    help="largest field order to include (default 343)")
+                    help=f"largest field order to include (default 343, cap {ORDER_CAP})")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed forwarded to the searching builders")
     args = ap.parse_args()
+    if args.max_q > ORDER_CAP:
+        ap.error(f"--max-q is capped at {ORDER_CAP}")
 
     rows = []
     t_all = time.perf_counter()

@@ -180,11 +180,15 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     used.  Assigning v0 = x0 + d0 takes the weights of v0 - x and x + d0
     off every key, an undo adds them back: gathers on an extension field,
     two slices on a prime field, of wv and of wdr = wd[::-1], a view with
-    wdr[i] = wd[-i mod q].  Each node scans `order` once, masked, resuming
-    after the value last tried; an undo restores the weights that value
-    was found under, so the count of untried values says when no scan can
-    find one.  Returns a filled table, None when the node budget ran out,
-    or "infeasible" when the whole space was exhausted within budget.
+    wdr[i] = wd[-i mod q].  Each node builds its row of feasible values in
+    value order, wv[v] & wd[v - x0]: two slices on a prime field (wd has
+    period q), a gather on an extension field.  It reads the row from the
+    resume point j on, after the value last tried: as the slice row[j:]
+    in the plain ascending order, as the gather row[order[j:]] after a
+    reshuffle.  An undo restores the weights that value was found under,
+    so the count of untried values says when no scan can find one.
+    Returns a filled table, None when the node budget ran out, or
+    "infeasible" when the whole space was exhausted within budget.
     """
     # Ranks < 2^32 (reopenings <= nodes <= 50 * 2^20); open keys < 2^53; a
     # closed key drifts at most 2q * 2^32 from 2^62 before it is overwritten.
@@ -197,6 +201,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     wdr = np.where(free_d, _FREE, 0)[-np.arange(2 * q + 1) % q]
     wd, xs = wdr[::-1], np.arange(q)
     order = np.asarray(order, dtype=np.int64)
+    plain = np.array_equal(order, xs)
     # (x0, count, left, j, v0, d0): x0 took v0 = x0 + d0 with `left` of its
     # `count` feasible values still untried; its scan resumes at j
     frames: list[tuple[int, int, int, int, int, int]] = []
@@ -210,7 +215,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
 
     while n:
         x0 = int(key.argmin())
-        left = c0 = int(key[x0]) >> 32
+        left = c0 = key.item(x0) >> 32
         j = 0
         while not left:
             if not frames:
@@ -223,14 +228,18 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
             theta[x0] = -1
             key[x0] = c0 * _FREE + rank
             rank, n = rank + 1, n + 1
-        tail = order[j:]
-        diff = sub(tail, x0)
-        ok = wv[tail] & wd[diff]
-        k = int(ok.argmax())
+        # v is feasible at x0 where v and v - x0 are both free
+        if spec.r == 1:
+            row = wv[:q] & wd[q - x0:2 * q - x0]
+        else:
+            diff = sub(xs, x0)
+            row = wv[:q] & wd[diff]
+        k = int((row[j:] if plain else row[order[j:]]).argmax())
         nodes += 1
         if nodes > budget:
             return None
-        v0, d0 = int(tail[k]), int(diff[k])
+        v0 = j + k if plain else order.item(j + k)
+        d0 = (v0 - x0) % q if spec.r == 1 else diff.item(v0)
         theta[x0] = v0
         key[x0] = _CLOSED
         n -= 1

@@ -1,6 +1,7 @@
 """Distance-3 pair builders: the swap rewiring, the subfield lift, the
 near-linear scan, pinned-value completion search, and the dispatcher."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -266,14 +267,19 @@ def _odd_prime_powers(lo, hi):
 
 
 @pytest.mark.parametrize("p,r", _odd_prime_powers(0, 128) + [
-    pytest.param(p, r, marks=pytest.mark.slow) for p, r in _odd_prime_powers(128, 400)])
+    pytest.param(p, r, marks=pytest.mark.slow) for p, r in _odd_prime_powers(128, 400)] + [
+    (1019, 1), pytest.param(2003, 1, marks=pytest.mark.slow)])
 def test_engine_matches_reference(field, p, r):
     # up to q = 128: the first swap pattern (2, 2, 1) and a seeded pin set,
     # each in the plain order and two seeded shuffles under a budget of 200
     # nodes, plus the swap pattern in the plain order under the budget
-    # complete_partial uses; above, the swap pattern under 200 nodes only
+    # complete_partial uses; up to 400, the swap pattern under 200 nodes
+    # only; at 1019 and 2003, the swap pattern in one seeded shuffle under
+    # 200 nodes (the gathered read) and in the plain order under
+    # complete_partial's budget (the sliced read), where it completes
     fs = field(p, r)
     q = fs.q
+    big = q > 400
     rng = random.Random(q)
     pins = [(2, 2, 1)]
     while q <= 128 and len(pins) < 2:
@@ -281,15 +287,16 @@ def test_engine_matches_reference(field, p, r):
         if e not in (0, z, k, fs.add(k, fs.sub(z, 1))):
             pins.append((z, k, e))
     orders = [list(range(q))]
-    for i in range(2):
+    for i in range(1 if big else 2):
         orders.append(list(range(q)))
         random.Random(f"{q}:{i}").shuffle(orders[-1])
-    cases = [(pin, order, 200) for pin in pins for order in orders]
-    if q <= 128:
+    cases = [(pin, order, 200) for pin in pins for order in orders[big:]]
+    if q <= 128 or big:
         cases.append(((2, 2, 1), orders[0], _default_budget(q)))
     for (z, k, e), order, budget in cases:
         got, ref = _engine_and_reference(fs, {0: 0, 1: z, k: e}, order, budget)
         assert got == ref, (z, k, e, order[:5], budget)
+    assert not big or isinstance(got[0], list)
 
 
 def test_engine_matches_reference_on_every_small_pin_set(field):
@@ -352,11 +359,11 @@ def test_engine_matches_reference_backtracking_above_128(field, budget):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("q,z,k,e,attempts", [(191, 164, 59, 156, 4),
-                                              (2003, 2, 2, 1, 1)])
+@pytest.mark.parametrize("q,z,k,e,attempts", [(191, 164, 59, 156, 4)])
 def test_engine_matches_reference_on_completion_attempts(field, q, z, k, e, attempts):
     # the attempts complete_partial(GF(q), z, k, e) makes, in its order:
-    # the plain order first, then seeded reshuffles
+    # the plain order first, then seeded reshuffles; the fourth completes
+    # after backtracking, so resumed scans of a reshuffled order are read
     fs = field(q, 1)
     rng = random.Random(f"0:{q}:{z}:{k}:{e}")
     seen = []
@@ -597,6 +604,23 @@ def test_distance3_pair_dispatch(field, p, r, tag):
     assert pair.provenance == tag
     assert pair.distance == 3 == hamming_distance(pair.f, pair.g)
     assert is_orthomorphism(pair.f) and is_orthomorphism(pair.g)
+
+
+# sha256 of f's then g's values as little-endian int64, recorded before the
+# search read its feasible values from value-space rows, which must find
+# the same pairs
+PAIR_SHA256 = {
+    2003: "be79375ec0ef7ffef814b517f2814ec90fcfabe485f7b30ae29bf5d7a54685f5",
+    8009: "18f60cd827b8f22bc03ebdc9abd51a49b25e3fff15f1bb7ffc3a04abac7229d9",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PAIR_SHA256))
+def test_completion_pairs_are_pinned(q):
+    pair = distance3_pair(build_field(q, 1))
+    assert pair.provenance == "SMALL_SEARCH"
+    data = np.stack([pair.f.values, pair.g.values]).astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == PAIR_SHA256[q]
 
 
 def test_distance3_pair_gf125_pinned_basis():

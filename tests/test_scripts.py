@@ -6,16 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from orthokit import prime_powers
+from orthokit import ORDER_CAP, prime_powers
 from test_census import FROZEN
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args):
+def _script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def _run_script(name, *args):
+    proc = _script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -30,6 +34,15 @@ def test_pair_sweep_script():
     for row in doc["rows"]:
         # a distance-3 pair has a member of the maximal degree q - 3
         assert max(row["deg_f"], row["deg_g"]) == max(row["q"] - 3, 1), row
+
+
+def test_pair_sweep_refuses_orders_above_the_cap():
+    # refused by argparse before any field is built, not after the sweep
+    # has built every field below the cap
+    proc = _script("pair_sweep.py", "--max-q", str(ORDER_CAP + 1))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"--max-q is capped at {ORDER_CAP}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_census_sweep_script():
