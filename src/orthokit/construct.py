@@ -228,7 +228,6 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
             theta[x0] = -1
             key[x0] = c0 * _FREE + rank
             rank, n = rank + 1, n + 1
-        # v is feasible at x0 where v and v - x0 are both free
         if spec.r == 1:
             row = wv[:q] & wd[q - x0:2 * q - x0]
         else:
