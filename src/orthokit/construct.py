@@ -156,50 +156,43 @@ def near_linear_pair(spec: FieldSpec) -> OrthoPair:
     raise SearchExhaustedError(f"no near-linear orthomorphism found for q={q}")
 
 
-def _start_counts(spec: FieldSpec, free_v: np.ndarray, free_d: np.ndarray,
-                  pos: np.ndarray) -> np.ndarray:
-    """Free values v with v - x free, counted for each x in pos; O(q) per used difference."""
-    cnt = np.full(len(pos), np.count_nonzero(free_v), dtype=np.int64)
-    for d in np.flatnonzero(~free_d).tolist():
-        cnt -= free_v[spec.add_array(pos, d)]
-    return cnt
-
-
-def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
-                   free_d: np.ndarray, open_pos: list[int], order: list[int],
+def _mrv_backtrack(spec: FieldSpec, theta: list[int], order: list[int],
                    budget: int):
-    """Depth-first completion, always branching on a most-constrained open
-    position.
+    """Depth-first completion of theta's -1 entries, always branching on a
+    most-constrained open position.  The other entries are pins: their
+    values must be distinct, and so must their differences v - x.
 
-    free_v and free_d, bool arrays of unused values and differences, are
-    only read.  key[x] is count * 2^32 + rank at an open x, count being its
-    number of feasible values and ranks running in open_pos order, then
-    one more per reopening; other positions hold _CLOSED, so key.argmin()
-    picks the least count, ties going to the earliest opened.  wv and wd,
-    doubled, weigh each value and difference 2^32 while free and 0 once
-    used.  Assigning v0 = x0 + d0 takes the weights of v0 - x and x + d0
-    off every key, an undo adds them back: gathers on an extension field,
-    two slices on a prime field, of wv and of wdr = wd[::-1], a view with
-    wdr[i] = wd[-i mod q].  Each node builds its row of feasible values in
-    value order, wv[v] & wd[v - x0]: two slices on a prime field (wd has
-    period q), a gather on an extension field.  It reads the row from the
-    resume point j on, after the value last tried: as the slice row[j:]
-    in the plain ascending order, as the gather row[order[j:]] after a
-    reshuffle.  An undo restores the weights that value was found under,
-    so the count of untried values says when no scan can find one.
+    key[x] is count * 2^32 + rank at an open x, count being its number of
+    feasible values and ranks running in ascending x, then one more per
+    reopening; other positions hold _CLOSED, so key.argmin() picks the
+    least count, ties going to the earliest opened.  wv and wd, doubled,
+    weigh each value and difference 2^32 while free and 0 once used.
+    Every count starts at q and every weight free; weigh(v0, d0, w) sets
+    the weights of v0 and d0 to w, then takes the weights of v0 - x and
+    x + d0 off every key (w = 0: each pin, and each assignment
+    v0 = x0 + d0) or adds them back (an undo): gathers on an extension
+    field, two slices on a prime field, of wv and of wdr = wd[::-1], a
+    view with wdr[i] = wd[-i mod q].  Each node builds its row of feasible
+    values in value order, wv[v] & wd[v - x0]: two slices on a prime field
+    (wd has period q), a gather on an extension field.  It reads the row
+    from the resume point j on, after the value last tried: as the slice
+    row[j:] in the plain ascending order, as the gather row[order[j:]]
+    after a reshuffle.  An undo restores the weights that value was found
+    under, so the count of untried values says when no scan can find one.
     Returns a filled table, None when the node budget ran out, or
     "infeasible" when the whole space was exhausted within budget.
     """
     # Ranks < 2^32 (reopenings <= nodes <= 50 * 2^20); open keys < 2^53; a
     # closed key drifts at most 2q * 2^32 from 2^62 before it is overwritten.
     q, sub, add = spec.q, spec.sub_array, spec.add_array
-    n = len(open_pos)
-    pos = np.array(open_pos, dtype=np.int64)
+    xs = np.arange(q)
+    pinned = np.array(theta) >= 0
+    n = q - int(np.count_nonzero(pinned))
     key = np.full(q, _CLOSED, dtype=np.int64)
-    key[pos] = _start_counts(spec, free_v, free_d, pos) * _FREE + np.arange(n)
-    wv = np.tile(np.where(free_v, _FREE, 0), 2)
-    wdr = np.where(free_d, _FREE, 0)[-np.arange(2 * q + 1) % q]
-    wd, xs = wdr[::-1], np.arange(q)
+    key[~pinned] = q * _FREE + np.arange(n)
+    wv = np.full(2 * q, _FREE, dtype=np.int64)
+    wdr = np.full(2 * q + 1, _FREE, dtype=np.int64)
+    wd = wdr[::-1]
     order = np.asarray(order, dtype=np.int64)
     plain = np.array_equal(order, xs)
     # (x0, count, left, j, v0, d0): x0 took v0 = x0 + d0 with `left` of its
@@ -207,12 +200,18 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
     frames: list[tuple[int, int, int, int, int, int]] = []
     nodes, rank = 0, n
 
-    def lost(v0: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
-        # the weights of v0 - x and of x + d0 for every x
+    def weigh(v0: int, d0: int, w: int) -> None:
+        wv[v0::q] = wd[d0::q] = w
         if spec.r == 1:
-            return wdr[q - v0:2 * q - v0], wv[d0:d0 + q]
-        return wd[sub(v0, xs)], wv[add(xs, d0)]
+            lost = wdr[q - v0:2 * q - v0], wv[d0:d0 + q]
+        else:
+            lost = wd[sub(v0, xs)], wv[add(xs, d0)]
+        op = np.add if w else np.subtract
+        for row in lost:
+            op(key, row, out=key)
 
+    for x in np.flatnonzero(pinned).tolist():
+        weigh(theta[x], spec.sub(theta[x], x), 0)
     while n:
         x0 = int(key.argmin())
         left = c0 = key.item(x0) >> 32
@@ -222,9 +221,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
                 return "infeasible"
             # undo the parent assignment and resume its value scan
             x0, c0, left, j, v0, d0 = frames.pop()
-            wv[v0::q] = wd[d0::q] = _FREE
-            for back in lost(v0, d0):
-                key += back
+            weigh(v0, d0, _FREE)
             theta[x0] = -1
             key[x0] = c0 * _FREE + rank
             rank, n = rank + 1, n + 1
@@ -242,9 +239,7 @@ def _mrv_backtrack(spec: FieldSpec, theta: list[int], free_v: np.ndarray,
         theta[x0] = v0
         key[x0] = _CLOSED
         n -= 1
-        wv[v0::q] = wd[d0::q] = 0
-        for gone in lost(v0, d0):
-            key -= gone
+        weigh(v0, d0, 0)
         frames.append((x0, c0, left - 1, j + k + 1, v0, d0))
     return theta
 
@@ -272,12 +267,7 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
     if not 0 <= e < q or e in banned:
         raise PreconditionError("e must be a field element outside {0, z, k, k+z-1}")
 
-    free_v = np.ones(q, dtype=bool)
-    free_v[[0, z, e]] = False
-    free_d = np.ones(q, dtype=bool)
-    free_d[[0, spec.sub(z, 1), spec.sub(e, k)]] = False
-    open_pos = [x for x in range(2, q) if x != k]
-    budget = max(1000, _NODE_BUDGET_FACTOR * len(open_pos))
+    budget = max(1000, _NODE_BUDGET_FACTOR * (q - 3))
     rng = random.Random(f"{seed}:{q}:{z}:{k}:{e}")
 
     for attempt in range(_RESTART_CAP + 1):
@@ -288,7 +278,7 @@ def complete_partial(spec: FieldSpec, z: int, k: int, e: int,
         theta[0] = 0
         theta[1] = z
         theta[k] = e
-        done = _mrv_backtrack(spec, theta, free_v, free_d, open_pos, order, budget)
+        done = _mrv_backtrack(spec, theta, order, budget)
         if done == "infeasible":
             break  # the whole space was explored: no restart can help
         if done is not None:

@@ -54,11 +54,14 @@ class MapTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values)
         q = self.field.q
+        try:
+            v = np.asarray(self.values)
+        except (ValueError, TypeError):  # ragged nesting, among others
+            v = None
         # a negative code would wrap silently in the scatters and gathers
         # every array routine does, so the range is checked here, once
-        if (v.shape != (q,) or v.dtype.kind not in "iu"
+        if (v is None or v.shape != (q,) or v.dtype.kind not in "iu"
                 or v.min() < 0 or v.max() >= q):
             raise PreconditionError(
                 f"a map over GF({q}) needs exactly q values with codes in [0, q)")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthokit import (MapTable, NonexistenceError, PreconditionError,
+from orthokit import (NonexistenceError, PreconditionError,
                       SearchExhaustedError, complete_partial,
                       cubic_unique_root, distance3_pair, even_char_theta,
                       even_irregular_witness, hamming_distance, interpolate, is_orthomorphism,
@@ -19,7 +19,7 @@ from orthokit import (MapTable, NonexistenceError, PreconditionError,
                       max_degree_member, max_degree_orthomorphism, near_linear_pair,
                       pair_even_odd_power, pair_f125, small_prime_pair,
                       swap_distance3)
-from orthokit.construct import _mrv_backtrack, _start_counts
+from orthokit.construct import _mrv_backtrack
 from orthokit.gf import build_field, prime_powers
 
 from oracles import (OracleField, all_orthomorphisms, cubic_root_count,
@@ -247,10 +247,10 @@ def _engine_and_reference(fs, pins, order, budget):
     runs = []
     for engine in ("package", "reference"):
         theta = [pins.get(x, -1) for x in range(q)]
-        free_v, free_d = _free_masks(fs, pins)
         if engine == "package":
-            out = _mrv_backtrack(fs, theta, free_v, free_d, open_pos, order, budget)
+            out = _mrv_backtrack(fs, theta, order, budget)
         else:
+            free_v, free_d = _free_masks(fs, pins)
             bits = [sum(1 << i for i in np.flatnonzero(m).tolist()) for m in (free_v, free_d)]
             out = mrv_backtrack(_reference_field(fs.p, fs.r, fs.modulus), theta, *bits,
                                 open_pos, order, budget)
@@ -316,7 +316,8 @@ def test_engine_matches_reference_on_every_small_pin_set(field):
 def test_engine_matches_reference_from_general_masks(field, p, r):
     # a seeded half of the positions of an orthomorphism from the reference
     # search pinned, so about half the values and differences start used;
-    # the start counts are checked against a count over every value
+    # one node fills the first open position of least count by a count
+    # over every value
     fs = field(p, r)
     q = fs.q
     ref_field = _reference_field(p, r, fs.modulus)
@@ -333,8 +334,10 @@ def test_engine_matches_reference_from_general_masks(field, p, r):
         open_pos = [x for x in range(q) if x not in pins]
         want = [sum(free_v[v] and free_d[ref_field.sub(v, x)] for v in range(q))
                 for x in open_pos]
-        assert _start_counts(fs, free_v, free_d, np.array(open_pos)).tolist() == want
         order = rng.sample(range(q), q) if trial % 2 else list(range(q))
+        theta = [pins.get(x, -1) for x in range(q)]
+        assert _mrv_backtrack(fs, theta, order, 1) is None
+        assert [x for x in open_pos if theta[x] >= 0] == [open_pos[want.index(min(want))]]
         for budget in (_default_budget(q), 3):
             got, ref = _engine_and_reference(fs, pins, order, budget)
             assert got == ref, (trial, budget)
@@ -344,18 +347,11 @@ def test_engine_matches_reference_from_general_masks(field, p, r):
 @pytest.mark.parametrize("budget", [500, 9450])
 def test_engine_matches_reference_backtracking_above_128(field, budget):
     # the hard GF(191) pins in the plain order run out of budget after
-    # heavy backtracking, so the partial tables are compared as well; the
-    # caller's masks come back as they went in
+    # heavy backtracking, so the partial tables are compared as well
     fs = field(191, 1)
     pins = {0: 0, 1: 164, 59: 156}
     got, ref = _engine_and_reference(fs, pins, list(range(191)), budget)
     assert got[0] is None and got == ref
-    free_v, free_d = _free_masks(fs, pins)
-    masks = free_v.copy(), free_d.copy()
-    theta = [pins.get(x, -1) for x in range(191)]
-    _mrv_backtrack(fs, theta, free_v, free_d, [x for x in range(191) if x not in pins],
-                   list(range(191)), budget)
-    assert np.array_equal(free_v, masks[0]) and np.array_equal(free_d, masks[1])
 
 
 @pytest.mark.slow

@@ -77,8 +77,9 @@ def test_map_table_equality_and_hash(field):
     [0, 1, 2, 3, 4, 5, 7],                        # the code q
     np.arange(7, dtype=np.int64).reshape(7, 1),   # not one axis
     [2**70] * 7,                                  # beyond int64
+    [[0], [1, 2], [2]],                           # ragged nesting
 ], ids=["short", "long", "float-dtype", "float-values", "bool", "negative",
-        "q", "2-d", "huge"])
+        "q", "2-d", "huge", "ragged"])
 def test_map_table_constructor_refuses(field, vals):
     with pytest.raises(PreconditionError):
         MapTable(field(7, 1), vals)
