@@ -6,14 +6,16 @@ swapped for one another inside any Latin square containing either.
 
 Each half is a read-only (k*q, 3) int64 array of (row, col, sym) triples in
 lexicographic order.  Building, validating and printing a bitrade are array
-passes.  The text is written from uint8 blocks of at most CHUNK records,
-filled from a table of every code's ASCII digits, so no Python int is made
-per code, and a caller can write each block out as it is made.
+passes.  json_pieces, the one JSON writer of the CLI's code arrays, writes
+them from uint8 blocks of at most CHUNK records, filled from a table of every
+code's ASCII digits, so no Python int is made per code, and a caller can
+write each block out as it is made.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple
@@ -32,12 +34,6 @@ class Triple(NamedTuple):
     sym: int
 
 
-#: The fixed text of one JSON triple's record, around its three codes, as
-#: json.dumps(indent=2) writes a triple in a list one level deep.  The first
-#: byte of a record separates it from the one before.
-_JSON_RECORD = (",\n    [\n      ", ",\n      ", ",\n      ", "\n    ]")
-
-
 def _digit_table(q: int) -> np.ndarray:
     """(q, w) uint8 table: row c holds the ASCII decimal digits of code c,
     left-aligned and padded with NUL; w is the number of digits of q - 1."""
@@ -52,18 +48,17 @@ def _digit_table(q: int) -> np.ndarray:
     return table
 
 
-def _blocks(half: np.ndarray, table: np.ndarray,
+def _blocks(a: np.ndarray, table: np.ndarray,
             fixed: tuple[str, ...]) -> Iterator[str]:
-    """The records of half's triples, CHUNK rows at a time: fixed[0], code,
-    fixed[1], code, fixed[2], code, fixed[3], each code as its row of table,
+    """The records of the rows of a (n, c), CHUNK rows at a time: fixed[0],
+    code, fixed[1], ..., code, fixed[c], each code as its row of table,
     without the first record's separator byte."""
     w = table.shape[1]
     template = np.frombuffer(("\0" * w).join(fixed).encode("ascii"),
                              dtype=np.uint8)
-    starts = list(accumulate((len(fixed[0]), len(fixed[1]) + w,
-                              len(fixed[2]) + w)))
-    for lo in range(0, len(half), CHUNK):
-        rows = half[lo:lo + CHUNK]
+    starts = list(accumulate([len(fixed[0])] + [len(f) + w for f in fixed[1:-1]]))
+    for lo in range(0, len(a), CHUNK):
+        rows = a[lo:lo + CHUNK]
         rec = np.empty((len(rows), len(template)), dtype=np.uint8)
         rec[:] = template
         for c, start in enumerate(starts):
@@ -74,6 +69,32 @@ def _blocks(half: np.ndarray, table: np.ndarray,
             rec[0, 0] = 0
         # one compress drops the NUL padding of the digits
         yield str(rec[rec != 0], "ascii")
+
+
+def json_pieces(doc, q: int) -> Iterator[str]:
+    """json.dumps(doc, indent=2, sort_keys=True) in pieces, where doc may hold
+    int64 arrays, 1-D or rows of codes in [0, q), in place of lists: the
+    encoder writes the string "\\0" for each, and the array goes there at the
+    indent of that line, in blocks from _digit_table(q).  Raises ValueError,
+    when called, if a string of doc puts that placeholder's text elsewhere."""
+    arrays = []  # in the order the encoder meets them, which is the text's
+    parts = json.dumps(doc, indent=2, sort_keys=True,
+                       default=lambda a: arrays.append(a) or "\0").split('"\\u0000"')
+    if len(parts) != len(arrays) + 1:
+        raise ValueError("a document string reads as an array placeholder")
+    return _json_pieces(parts, arrays, _digit_table(q))
+
+
+def _json_pieces(text: list[str], arrays: list, table: np.ndarray) -> Iterator[str]:
+    for head, a in zip(text, arrays):
+        yield head
+        inner = re.match(" *", head.rpartition("\n")[2])[0] + "  "
+        fixed = ((",\n" + inner, "") if a.ndim == 1 else (f",\n{inner}[\n{inner}  ",)
+                 + (f",\n{inner}  ",) * (a.shape[1] - 1) + (f"\n{inner}]",))
+        yield "["
+        yield from _blocks(a[:, None] if a.ndim == 1 else a, table, fixed)
+        yield f"\n{inner[2:]}]" if len(a) else "]"
+    yield text[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +121,14 @@ class Bitrade:
         written as ASCII byte blocks from a digit table, so no Python int is
         made per code.  Raises ValueError for an unknown format, for extra
         keys L1 or L2 in JSON or any extra key in CSV, which neither could
-        honour, or for a code outside [0, q)."""
+        honour, for a code outside [0, q), or as json_pieces does."""
         return "".join(self.pieces(fmt, **extra))
 
     def pieces(self, fmt: str = "json", **extra) -> Iterator[str]:
         """render(fmt, **extra) as consecutive strings, the triples in
         blocks of at most CHUNK, so that the text can be written out without
-        being held whole.  The format and the codes are checked when this is
-        called, before any string is made."""
+        being held whole.  The format, the extras and the codes are checked
+        when this is called, before a triple is written."""
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown bitrade format {fmt!r}")
         if bad := sorted(extra.keys() & ({"L1", "L2"} if fmt == "json" else extra.keys())):
@@ -117,33 +138,16 @@ class Bitrade:
             # a digit-table lookup would wrap a negative code silently
             if len(half) and not (0 <= half.min() and half.max() < q):
                 raise ValueError(f"bitrade code outside [0, {q})")
-        return self._pieces(fmt, extra)
+        if fmt == "json":
+            return json_pieces(self._document(self.first, self.second) | extra, q)
+        return self._csv_pieces()
 
-    def _pieces(self, fmt: str, extra: dict) -> Iterator[str]:
+    def _csv_pieces(self) -> Iterator[str]:
         table = _digit_table(self.field.q)
-        halves = {"L1": self.first, "L2": self.second}
-        if fmt == "csv":
-            first, second = (_blocks(half, table, (f"\n{tag},", ",", ",", ""))
-                             for tag, half in halves.items())
-            yield from first
-            if len(self.first) and len(self.second):
-                yield "\n"
-            yield from second
-            return
-        # the encoder writes everything but the triples; each half's list
-        # goes where its placeholder string was
-        rest = json.dumps(self._document("\0L1", "\0L2") | extra,
-                          indent=2, sort_keys=True)
-        for tag, half in halves.items():
-            head, _, rest = rest.partition(f'"\\u0000{tag}"')
-            yield head
-            if len(half):
-                yield "["
-                yield from _blocks(half, table, _JSON_RECORD)
-                yield "\n  ]"
-            else:
-                yield "[]"
-        yield rest
+        yield from _blocks(self.first, table, ("\nL1,", ",", ",", ""))
+        if len(self.first) and len(self.second):
+            yield "\n"
+        yield from _blocks(self.second, table, ("\nL2,", ",", ",", ""))
 
 
 def _half(t: MapTable, disagree: np.ndarray) -> np.ndarray:

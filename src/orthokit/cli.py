@@ -15,7 +15,9 @@ import re
 import sys
 from typing import Iterator
 
-from .bitrade import build_bitrade, validate_homogeneous
+import numpy as np
+
+from .bitrade import build_bitrade, json_pieces, validate_homogeneous
 from .census import census
 from .construct import distance3_pair, irregular_orthomorphism
 from .errors import PreconditionError, SearchExhaustedError
@@ -74,19 +76,20 @@ def cmd_field(args) -> dict:
     return {"field": fs.to_json(), "q": fs.q}
 
 
-def cmd_pair(args) -> dict:
+def cmd_pair(args) -> Iterator[str]:
     fs = _build_from_args(args)
     pair = distance3_pair(fs, seed=args.seed)
     f_poly = interpolate(pair.f)
-    return {
+    g_poly = interpolate_delta(f_poly, pair.f, pair.g)
+    return json_pieces({
         "field": fs.to_json(),
-        "f": pair.f.to_json(),
-        "g": pair.g.to_json(),
+        "f": {"field": fs.to_json(), "values": pair.f.values},
+        "g": {"field": fs.to_json(), "values": pair.g.values},
         "distance": pair.distance,
         "provenance": pair.provenance,
-        "f_poly": f_poly.to_json(),
-        "g_poly": interpolate_delta(f_poly, pair.f, pair.g).to_json(),
-    }
+        "f_poly": {"coeffs": np.array(f_poly.coeffs, dtype=np.int64)},
+        "g_poly": {"coeffs": np.array(g_poly.coeffs, dtype=np.int64)},
+    }, fs.q)
 
 
 def _load_json(path: str) -> dict:
@@ -158,9 +161,10 @@ def cmd_census(args) -> dict:
     return out
 
 
-def cmd_irregular(args) -> dict:
+def cmd_irregular(args) -> Iterator[str]:
     t, how = irregular_orthomorphism(_build_from_args(args), seed=args.seed)
-    return t.to_json() | how | {"irregular": True}
+    doc = {"field": t.field.to_json(), "values": t.values}  # t.to_json(), as an array
+    return json_pieces(doc | how | {"irregular": True}, t.field.q)
 
 
 # built once per process: add_argument's gettext lookups and terminal-size
@@ -224,8 +228,8 @@ def main(argv=None) -> int:
         return 3
     if isinstance(out, dict):
         out = [json.dumps(out, indent=2, sort_keys=True)]
-    # piece by piece, so a large bitrade is never held as one string; the
-    # bytes are those of print("".join(out))
+    # piece by piece, as json_pieces and the csv writer make them, so no
+    # large document is held whole; the bytes are those of print("".join(out))
     for piece in out:
         sys.stdout.write(piece)
     sys.stdout.write("\n")

@@ -280,7 +280,9 @@ def _certify(fs: FieldSpec, tables: np.ndarray, checks) -> tuple[np.ndarray, np.
         denom = fs.mul_array(s[lead[idx], idx], degree[idx] % fs.p)
         g = fs.mul_array(fs.sub_array(0, below[idx]),
                          fs.exp_array[-fs.log_array[denom] % q1])
-        irregular[idx] = ~_cyclotomic(_translations(fs, tables[idx], g[:, None]), checks)
+        for lo in range(0, len(idx), step := max(1, CHUNK // fs.q)):  # bounded memory
+            i, gi = idx[lo:lo + step], g[lo:lo + step, None]
+            irregular[i] = ~_cyclotomic(_translations(fs, tables[i], gi), checks)
     return path, irregular
 
 

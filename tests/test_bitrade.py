@@ -12,6 +12,7 @@ import orthokit.bitrade
 from orthokit import (Bitrade, PreconditionError, Triple, build_bitrade,
                       distance3_pair, linear_map, prime_powers,
                       validate_homogeneous)
+from orthokit.bitrade import json_pieces
 
 from oracles import bitrade_csv, is_homogeneous_bitrade
 
@@ -255,6 +256,56 @@ def test_render_refuses_extras_it_cannot_honour(field):
     for extra in ({"k": 9}, {"field": "GF(7)"}, {"homogeneous": False}):
         assert b.render("json", **extra) == json.dumps(
             b.to_json() | extra, indent=2, sort_keys=True)
+
+
+def test_render_keeps_strings_apart_from_the_writers_placeholder(field):
+    # "\0L1" stood for the first half when each half had its own
+    # placeholder, and key A sorts before L1, so A's value took its place
+    b = _pair_bitrade(field, 7, 1)
+    assert b.render("json", A="\0L1") == json.dumps(
+        b.to_json() | {"A": "\0L1"}, indent=2, sort_keys=True)
+    # a string the writer would read as its placeholder is refused on the
+    # call, as a value, inside a list or as a key
+    for extra in ({"A": "\0"}, {"seed": ['"\0']}, {"\0": 1}):
+        with pytest.raises(ValueError, match="placeholder"):
+            b.pieces("json", **extra)
+
+
+def _listed(doc):
+    """doc with each array replaced by its list."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _listed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_listed(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2**14])
+@pytest.mark.parametrize("q", [2, 11, 1000])
+def test_json_pieces_is_json_dumps(monkeypatch, q, rows):
+    monkeypatch.setattr(orthokit.bitrade, "CHUNK", rows)
+    rng = np.random.default_rng(q)
+    codes = rng.integers(0, q, 50)
+    codes[:3] = 0, q - 1, q // 2  # at q = 1000, codes of 1, 2 and 3 digits
+    # inserted out of key order, so the arrays come out z, m, l, e, e3, a
+    doc = {
+        "z": codes,
+        "m": {"values": codes[::-1].copy(), "n": 3},
+        "l": [np.arange(q, dtype=np.int64)[:7], "text", None],
+        "e": np.empty(0, dtype=np.int64),
+        "e3": np.empty((0, 3), dtype=np.int64),
+        "a": rng.integers(0, q, (14, 3)),
+        "s": "\0L1",
+    }
+    assert "".join(json_pieces(doc, q)) == json.dumps(
+        _listed(doc), indent=2, sort_keys=True)
+    for top in (codes, doc["a"], doc["e"]):
+        assert "".join(json_pieces(top, q)) == json.dumps(
+            top.tolist(), indent=2, sort_keys=True)
+    with pytest.raises(ValueError, match="placeholder"):
+        json_pieces(doc | {"t": "\0"}, q)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7])

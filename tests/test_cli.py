@@ -396,6 +396,47 @@ def test_bitrade_streams_through_write_only_stdout(monkeypatch, fmt):
     assert len(out.parts) > 2
 
 
+def _pair_document(fs, seed=0) -> dict:
+    """The pair document, built from the library's to_json() methods."""
+    pair = distance3_pair(fs, seed=seed)
+    return {"field": fs.to_json(), "f": pair.f.to_json(), "g": pair.g.to_json(),
+            "distance": pair.distance, "provenance": pair.provenance,
+            "f_poly": interpolate(pair.f).to_json(),
+            "g_poly": interpolate(pair.g).to_json()}
+
+
+def _irregular_document(fs, seed=0) -> dict:
+    t, how = irregular_orthomorphism(fs, seed)
+    return t.to_json() | how | {"irregular": True}
+
+
+@pytest.mark.parametrize("command", ["pair", "irregular"])
+def test_pair_and_irregular_stream_through_write_only_stdout(monkeypatch, command):
+    out = WriteOnly()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command, "11", "1"]) == 0
+    build = _pair_document if command == "pair" else _irregular_document
+    expected = json.dumps(build(build_field(11, 1)), indent=2, sort_keys=True)
+    assert "".join(out.parts) == expected + "\n"
+    assert len(out.parts) > 2
+
+
+def test_pair_and_irregular_stdout_is_json_dumps_of_the_library_documents(capsys):
+    for p, r, q in prime_powers(343):
+        fs = build_field(p, r)
+        for command, build in (("pair", _pair_document),
+                               ("irregular", _irregular_document)):
+            for seed in (0, 7):
+                code, out = run(capsys, command, str(p), str(r), "--seed", str(seed))
+                if code == 2:
+                    with pytest.raises(PreconditionError):
+                        build(fs, seed)
+                    continue
+                assert code == 0, (command, q)
+                assert out == json.dumps(build(fs, seed), indent=2,
+                                         sort_keys=True) + "\n", (command, q, seed)
+
+
 def test_census_payload(capsys):
     code, doc = run_json(capsys, "census", "7", "1")
     assert code == 0
@@ -684,10 +725,16 @@ STDOUT_SHA256 = {
         "00b5fdb6c9dc4643ee164761e70b42820fec53395750884328eccd1b55d1ea7b",
     ("pair", "29", "1"):
         "6cd9ecaf73fc54848104bf38d3eac120e7689222d3d834d68e13cdeb41d1e7e3",
+    # written while pair's code lists still went through json.dumps, before
+    # every array was written in blocks from a digit table
+    ("pair", "2", "20"):
+        "58cb54745996739e123b344dc7e5144229f7d9a3be55bb3cb05f6ef9d1a3edd4",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, marks=pytest.mark.slow) if argv == ("pair", "2", "20")
+    else argv for argv in sorted(STDOUT_SHA256)], ids=" ".join)
 def test_stdout_bytes_pinned(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
