@@ -230,15 +230,16 @@ def validate_homogeneous(b: Bitrade) -> bool:
         if a.min() < 0 or a.max() >= q:
             return False
         halves.append(a.astype(np.int64, copy=False))
-    # codes are below q <= 2^20, so a triple's code stays below 2^60
-    triples = [_sorted_codes(a, (0, 1, 2), q) for a in halves]
-    if not all(_distinct(t) for t in triples):
+    # a triple's code is below q^3 <= 2^60; once its (0, 1) view t // q is
+    # distinct and equal in both halves, a shared triple sits at one index
+    tf, tg = (_sorted_codes(a, (0, 1, 2), q) for a in halves)
+    cells = tf // q
+    if not _distinct(cells) or not np.array_equal(cells, tg // q) or (tf == tg).any():
         return False
-    if np.intersect1d(*triples, assume_unique=True).size:
-        return False
+    del tf, tg, cells
     # pairwise projections: each pair of coordinates determines the third,
-    # and the two halves occupy identical shapes in all three views
-    for cols in ((0, 1), (0, 2), (1, 2)):
+    # and the two halves occupy identical shapes in the other two views
+    for cols in ((0, 2), (1, 2)):
         pf, pg = (_sorted_codes(a, cols, q) for a in halves)
         if not _distinct(pf) or not np.array_equal(pf, pg):
             return False

@@ -24,8 +24,8 @@ The tables are built with one multiplication, the multiplier of a: the
 r x r matrix M_a of x -> a*x on base-p digit rows, digits(x*a) ==
 digits(x) @ M_a mod p, built by Horner's rule from the companion matrix of
 the modulus; in a prime field it is the plain int a.  exp is doubled from
-exp[0] = 1: exp[n:2n] is exp[0:n] times gamma^n, whose multiplier is
-squared at each level, so a table takes about log2(q) block products.
+exp[0] = 1 on int16 digit rows, exp[n:2n] = exp[0:n] @ M_gamma^n mod p, in
+about log2(q) block products, and the rows are read as codes once.
 
 Construction policy, fully deterministic:
 
@@ -36,9 +36,11 @@ Construction policy, fully deterministic:
   multiplicative group, M_c^((q-1)/ell) != I for every prime ell | q - 1;
 * callers may supply either explicitly, e.g. to match element codes from a
   published table.  A given gamma is accepted when its q - 1 powers are
-  distinct and nonzero; a table that fails is re-decided by the test
-  above, so a non-primitive gamma is refused (PreconditionError) and a
-  fault in the table is an AssertionError.
+  distinct and nonzero and gamma^(q-1) == 1; every nonzero element is then
+  a unit, which proves a given modulus irreducible, so trial division runs
+  first only when gamma is no int in (0, q).  A failed table is re-decided
+  by it and the test above: a reducible modulus or non-primitive gamma is
+  refused (PreconditionError), a fault in the table is an AssertionError.
 
 FieldSpec instances are frozen, and compare and hash by value, by
 (p, r, q, modulus, gamma), which fix the tables.
@@ -77,6 +79,12 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise PreconditionError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_ints(values, what: str) -> list:
+    """[json_int(v, what) for v in values], the types checked in one pass."""
+    values = list(values)
+    return values if set(map(type, values)) <= {int} else [json_int(v, what) for v in values]
 
 
 def as_int(value, reason: str) -> int:
@@ -215,19 +223,20 @@ def _is_primitive(mat, p: int, q: int, factors) -> bool:
 def _exp_codes(mat, p: int, r: int) -> np.ndarray:
     """gamma^0, ..., gamma^(q-2) as codes, mat being gamma's multiplier, by
     doubling from exp[0] = 1: exp[n:2n] is exp[0:n] times gamma^n, whose
-    multiplier is squared at each level, in blocks of about CHUNK digits."""
+    multiplier is squared at each level, on digit rows in blocks of about
+    CHUNK digits; einsum reads them as codes with no (q - 1, r) int64 copy."""
     q = p**r
-    exp = np.empty(q - 1, dtype=np.int64)
-    exp[0] = 1
-    rows, n = max(1, CHUNK // r), 1
+    exp = np.zeros((q - 1, r), dtype=np.int16 if r > 1 else np.int64)
+    exp[0, 0] = 1
+    rows, n = (max(1, CHUNK // r) if r > 1 else q), 1
     while n < q - 1:
         m = min(n, q - 1 - n)
         for i in range(0, m, rows):
             j = min(i + rows, m)
-            exp[n + i:n + j] = _scale(exp[i:j], mat, p)
-        mat = _power(mat, 2, p)
+            exp[n + i:n + j] = exp[i:j] @ mat % p if r > 1 else exp[i:j] * mat % p
+        mat = mat @ mat % p if r > 1 else mat * mat % p  # products below 2^40
         n += m
-    return exp
+    return exp[:, 0] if r == 1 else np.einsum("ij,j->i", exp, p ** np.arange(r))
 
 
 @dataclass(frozen=True, repr=False)
@@ -522,7 +531,7 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
         raise PreconditionError(f"p={p} is not prime")
     q = p**r
 
-    mod: tuple[int, ...] | None
+    mod: tuple[int, ...] | None = None  # r == 1: y - gamma, once gamma is known
     if modulus is not None:
         mod = tuple(as_int(c, "modulus coefficients must be integers") for c in modulus)
         if any(not 0 <= c < p for c in mod):
@@ -530,12 +539,11 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
                 f"modulus coefficients must lie in [0, {p}), got {list(mod)}")
         if len(mod) != r + 1 or mod[-1] != 1:
             raise PreconditionError("modulus must be monic of degree r, constant term first")
-        if not _is_irreducible(mod, p):
+        # a given gamma's table check proves the modulus irreducible (docstring)
+        if not (type(gamma) is int and 0 < gamma < q) and not _is_irreducible(mod, p):
             raise PreconditionError(f"modulus {mod} is reducible over Z_{p}")
     elif r > 1:
         mod = _smallest_irreducible(p, r)
-    else:
-        mod = None  # degree-1 convention y - gamma, fixed once gamma is known
 
     factors = distinct_prime_factors(q - 1)
     if gamma is None:
@@ -544,16 +552,15 @@ def build_field(p: int, r: int, modulus: Iterable[int] | None = None,
     elif not 0 < (gamma := as_int(gamma, f"gamma={gamma} is not a primitive element")) < q:
         raise PreconditionError(f"gamma={gamma} is not a primitive element")
 
-    # a given gamma is primitive when its q - 1 powers are distinct and
-    # nonzero; a failed table is re-decided by the primitivity test, so a
-    # fault in the table surfaces as an AssertionError.  A non-primitive
-    # gamma is refused before a degree-1 modulus is compared with it.
+    # a non-primitive gamma is refused before a degree-1 modulus is compared
     mat = _times(gamma, p, r, mod)
     exp = _exp_codes(mat, p, r)
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(len(exp))
     if len(exp) != q - 1 or log[0] != -1 or _scale(exp[-1:], mat, p)[0] != 1 \
             or not np.array_equal(log[exp], np.arange(q - 1)):
+        if modulus is not None and not _is_irreducible(mod, p):
+            raise PreconditionError(f"modulus {mod} is reducible over Z_{p}")
         if not _is_primitive(mat, p, q, factors):
             raise PreconditionError(f"gamma={gamma} is not a primitive element")
         raise AssertionError("exp table failed to cycle the group")
@@ -573,7 +580,7 @@ def field_from_json(data: dict) -> FieldSpec:
     integer."""
     modulus = data.get("modulus")
     if modulus is not None:
-        modulus = [json_int(c, "modulus coefficient") for c in modulus]
+        modulus = json_ints(modulus, "modulus coefficient")
     gamma = data.get("gamma")
     if gamma is not None:
         gamma = json_int(gamma, "gamma")

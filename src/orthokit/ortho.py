@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .gf import CHUNK, FieldSpec, as_int, distinct_prime_factors, json_int
+from .gf import CHUNK, FieldSpec, as_int, distinct_prime_factors, json_ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,7 @@ class MapTable:
 
 def map_table(field: FieldSpec, values) -> MapTable:
     """Validated MapTable constructor for external data."""
-    return MapTable(field, [json_int(v, "map value") for v in values])
+    return MapTable(field, json_ints(values, "map value"))
 
 
 def linear_map(field: FieldSpec, a: int) -> MapTable:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .gf import FieldSpec, as_int, json_int
+from .gf import FieldSpec, as_int, json_ints
 from .ortho import _CERTIFY_ROWS, MapTable, _degrees, _sums
 
 
@@ -48,7 +48,7 @@ class ReducedPoly:
 
 
 def reduced_poly(field: FieldSpec, coeffs) -> ReducedPoly:
-    cs = [json_int(c, "coefficient") for c in coeffs]
+    cs = json_ints(coeffs, "coefficient")
     if len(cs) > field.q:
         raise PreconditionError("a reduced polynomial has degree < q")
     if any(not 0 <= c < field.q for c in cs):

@@ -10,7 +10,7 @@ a tautology.  All functions speak the same integer element codes
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 from numbers import Integral
 
 
@@ -105,6 +105,22 @@ class OracleField:
                 return n
             x = self.mul(x, base)
         raise AssertionError("not in the cyclic group of base")
+
+
+def reducible_monics(p: int, r: int) -> set[tuple[int, ...]]:
+    """Every monic polynomial of degree r over Z_p (constant term first)
+    that factors, found by multiplying out every pair of monic factors of
+    degrees d and r - d, 1 <= d <= r / 2: a sieve, not trial division."""
+    out = set()
+    for d in range(1, r // 2 + 1):
+        for a in product(range(p), repeat=d):
+            for b in product(range(p), repeat=r - d):
+                prod = [0] * (r + 1)
+                for i, x in enumerate(a + (1,)):
+                    for j, y in enumerate(b + (1,)):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                out.add(tuple(prod))
+    return out
 
 
 def sub_table(of: OracleField) -> list[list[int]]:

@@ -108,6 +108,34 @@ def test_validator_rejects_perturbations(field):
     assert not _agree(replace(b, second=first))
 
 
+def _latin_half(square) -> np.ndarray:
+    return np.array([(i, j, s) for i, row in enumerate(square)
+                     for j, s in enumerate(row)], dtype=np.int64)
+
+
+def test_validator_rejects_one_shared_triple_a_repeat_and_a_split_cell(field):
+    # two Latin squares of order q are a q-homogeneous bitrade when they
+    # differ in every cell; these two agree in the cell (0, 0) alone, so
+    # disjointness is the one axiom that fails
+    fs = field(2, 2)
+    a = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+    b = [[0, 2, 3, 1], [2, 3, 1, 0], [3, 1, 0, 2], [1, 0, 2, 3]]
+    first = _latin_half(a)
+    shifted = _latin_half([[(s + 1) % 4 for s in row] for row in a])
+    assert _agree(Bitrade(fs, 4, first, shifted))
+    assert len(_tuples(first) & _tuples(_latin_half(b))) == 1
+    assert not _agree(Bitrade(fs, 4, first, _latin_half(b)))
+    # a repeated triple, in place of another
+    repeated = first.copy()
+    repeated[1] = repeated[0]
+    assert not _agree(Bitrade(fs, 4, repeated, shifted))
+    # the cell (0, 0) carries two symbols, (0, 1) none
+    split = first.copy()
+    split[1] = (0, 0, 1)
+    assert len(_tuples(split)) == 16
+    assert not _agree(Bitrade(fs, 4, split, shifted))
+
+
 def test_validator_rejects_two_symbols_in_one_cell(field):
     # b together with its copy whose symbols are shifted by d: the counts
     # double to 2k, the shapes still agree and the halves stay disjoint, but

@@ -269,6 +269,25 @@ def test_verify_rejects_prime_modulus_that_contradicts_gamma(capsys, tmp_path):
             assert doc["orthomorphism"] is True
 
 
+def test_verify_refuses_a_reducible_modulus_with_a_given_gamma(capsys, tmp_path):
+    # (y + 1)^2 over Z_2: the table of y fails its check, and the trial
+    # division then names the modulus, also with asserts stripped
+    import subprocess
+    from pathlib import Path
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({"field": {"p": 2, "r": 2, "modulus": [1, 0, 1],
+                                          "gamma": 2}, "values": [0, 1, 2, 3]}))
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert code == 2 and doc == {"error": "PreconditionError",
+                                 "reason": "modulus (1, 0, 1) is reducible over Z_2"}
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-m", "orthokit", "verify", "--map",
+                           str(path)], capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == doc
+
+
 def test_field_rejects_modulus_coefficients_out_of_range(capsys):
     # -1 is not read as 1 mod 2: [1, 1, 1] would be the irreducible y^2+y+1
     code, doc = run_json(capsys, "field", "2", "2", "--modulus", "1,-1,1")

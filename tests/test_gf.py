@@ -1,6 +1,8 @@
 """Field kernel: construction policy, arithmetic vs the oracle, traces,
 cosets, serialization, and rejection of bad inputs."""
 
+import hashlib
+import itertools
 import math
 import random
 
@@ -20,7 +22,7 @@ from orthokit import (ORDER_CAP, PreconditionError, ReducedPoly, build_bitrade,
 from orthokit.gf import (_is_irreducible, _is_primitive, _low_digits, _scale,
                          _times, distinct_prime_factors, is_prime)
 
-from oracles import OracleField, exp_sequence
+from oracles import OracleField, exp_sequence, reducible_monics
 
 
 def oracle_for(fs) -> OracleField:
@@ -266,6 +268,82 @@ def test_given_gamma_is_accepted_exactly_when_primitive(field, p, r, modulus):
             with pytest.raises(PreconditionError,
                                match=f"^gamma={c} is not a primitive element$"):
                 build_field(p, r, modulus, c)
+
+
+#: sha256 of the outcome lines of build_field(p, r, modulus, gamma) for every
+#: monic modulus of degree r, in itertools.product order of its low
+#: coefficients, and every gamma in [0, q]: "ok" and the exp table, or the
+#: refusal's message.  Recorded while every given modulus was trial-divided
+#: before its gamma was looked at.
+OUTCOMES_SHA256 = {
+    (2, 2): "7d21ef8f6ff8e112f23e6e423b830d8a4603ce81ad5fb8c4b450b03a6da151ed",
+    (2, 3): "5f60ec2e311b868b382c8d19176926b82867edcf9db82d264112b0aafa1f581d",
+    (2, 4): "e1173260e476f8a0cfa6b4e6b79ee9de0ba954471849e26373c1d007853ba5c0",
+    (3, 2): "a0a2dda75d9b4739b164de17dfdebe2dee5b1d4ff7f74d66574466487cba25ea",
+    (3, 3): "c1df0bce206e9ec62d17502245f443083e56c247598867676230d5bb54678059",
+    (3, 4): "bcb86751bd30c4f3f0dce20a419e1c5540ed548970dc907677a9a62be6f1a295",
+    (5, 2): "2621ce27175eaffbcbb6fbe4151c674987d6698792a3124294e8ac5f4d144006",
+    (7, 2): "cd9c0a910914dfd4b4951eac0707cc6ef2e455b383b6d0b691225bc7bc9cdf6b",
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(OUTCOMES_SHA256))
+def test_table_check_proves_the_modulus_irreducible(p, r):
+    # a given gamma's table is checked before any trial division of a given
+    # modulus; a build succeeds exactly when the modulus is irreducible and
+    # gamma primitive, and each refusal keeps its message: a reducible
+    # modulus first, whatever gamma is
+    q = p**r
+    reducible = reducible_monics(p, r)
+    lines = []
+    for low in itertools.product(range(p), repeat=r):
+        mod = low + (1,)
+        of = None if mod in reducible else OracleField(p, r, mod)
+        for gamma in range(q + 1):
+            primitive = of is not None and 0 < gamma < q \
+                and of.element_order(gamma) == q - 1
+            try:
+                fs = build_field(p, r, mod, gamma)
+            except PreconditionError as e:
+                assert not primitive, (mod, gamma)
+                assert str(e) == (f"modulus {mod} is reducible over Z_{p}" if of is None
+                                  else f"gamma={gamma} is not a primitive element")
+                lines.append(f"PreconditionError: {e}")
+            else:
+                assert primitive and fs.exp_array.tolist() == exp_sequence(of, gamma)
+                lines.append("ok " + ",".join(map(str, fs.exp_array.tolist())))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OUTCOMES_SHA256[p, r]
+
+
+#: sha256 of exp_array's bytes at the default gamma and at gamma^j, j >= 2
+#: the smallest exponent prime to q - 1, for orders whose doubling crosses
+#: CHUNK-sized blocks, or runs one block per level on a prime field.
+EXP_SHA256 = {
+    (3, 9, 3): "ecb87d68e02335f8ae7751dd36fccb0c696bca79263e8c4c5534a428650c412d",
+    (3, 9, 27): "a5e12d82b15f131f48b0afb8f49936f0ed5ec515370d0c3514c4aed083c7d554",
+    (2, 15, 2): "78e1569b9423750e0152228ac5284d1c4ec18e9d62e5c7390d216326536ac0b1",
+    (2, 15, 4): "9f7221dbe9f31cd23f520d2528b73615e2a6fc3f0a0d3f7c844cc25f50df4c06",
+    (2, 16, 6): "3cad62fe612b8c789e68fbb3944f2e85720bae40c75b5d0054c24349dbc1b92c",
+    (2, 16, 20): "db64b807dd4d4caa9cfa19f67a72ae1b5923d7c1916c3422104476f5ca688e72",
+    (5, 7, 7): "36a07ef55ea87298811eb9246c62d6ef682f617820217803c08a9a1b1b0cdee1",
+    (5, 7, 163): "c6a5631485a8c486cef03c313f7cd7a40d1f30c8422eacee8aff160aa6626f47",
+    (101, 2, 120): "f6e44d8c70d0fed821aa033262a10204a923cf8dac8ac992b309a5b1967f3ce6",
+    (101, 2, 10077): "056774346880e6a34a63b810525f334d841cb74b8da51310ce3f419b7394dbd0",
+    (1019, 1, 2): "c12f7a078c7e6e30c9147b251e85398479afe33e92f3000871b0d98e5c23be96",
+    (1019, 1, 8): "d48d54c14814b02d1694b6f5f629ab4222cc8754ef218f0b46c0d7a985a7c6a0",
+}
+
+
+@pytest.mark.parametrize("p,r,gamma", sorted(EXP_SHA256))
+def test_large_exp_tables_are_pinned(field, p, r, gamma):
+    default = field(p, r)
+    j = next(j for j in range(2, default.q) if math.gcd(j, default.q - 1) == 1)
+    assert gamma in (default.gamma, default.exp_array[j])
+    fs = field(p, r, None, gamma)
+    # each power times gamma is the next one, around the whole cycle
+    mat = _times(gamma, p, r, fs.modulus)
+    assert np.array_equal(_scale(fs.exp_array, mat, p), np.roll(fs.exp_array, -1))
+    assert hashlib.sha256(fs.exp_array.tobytes()).hexdigest() == EXP_SHA256[p, r, gamma]
 
 
 @pytest.mark.parametrize("p,r", [(7, 1), (11, 1), (2, 4), (2, 5), (3, 2), (5, 3)])
