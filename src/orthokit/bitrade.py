@@ -192,12 +192,12 @@ def build_bitrade(f: MapTable, g: MapTable) -> Bitrade:
 
 
 def _sorted_codes(a: np.ndarray, cols: tuple[int, ...], q: int) -> np.ndarray:
-    """The chosen columns of each row as one base-q code, sorted."""
+    """The chosen columns of each row as one base-q code, in increasing order."""
     code = a[:, cols[0]].copy()
     for c in cols[1:]:
         code *= q
         code += a[:, c]
-    return np.sort(code)
+    return code if (code[1:] > code[:-1]).all() else np.sort(code)
 
 
 def _distinct(s: np.ndarray) -> bool:

@@ -23,9 +23,9 @@ of the two tables, built on first read, are for callers outside the package.
 The tables are built with one multiplication, the multiplier of a: the
 r x r matrix M_a of x -> a*x on base-p digit rows, digits(x*a) ==
 digits(x) @ M_a mod p, built by Horner's rule from the companion matrix of
-the modulus; in a prime field it is the plain int a.  exp is doubled from
-exp[0] = 1 on int16 digit rows, exp[n:2n] = exp[0:n] @ M_gamma^n mod p, in
-about log2(q) block products, and the rows are read as codes once.
+the modulus; in a prime field it is the plain int a.  exp doubles from
+exp[0] = 1, exp[n:2n] = exp[0:n] @ M_gamma^n mod p, on int16 digit rows read
+as codes once; at p == 2 long levels XOR byte tables of M_gamma^n on codes.
 
 Construction policy, fully deterministic:
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,8 +176,8 @@ def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 def _times(a: int, p: int, r: int, modulus: Sequence[int]):
     """The multiplier of a: the matrix M of x -> a*x on base-p digit rows,
     digits(x*a) == digits(x) @ M mod p, built by Horner's rule from the
-    companion matrix of the modulus (the multiplier of y).  In a prime
-    field it is the plain int a."""
+    companion matrix of the modulus (the multiplier of y), int16 when its
+    products are exact there, r(p - 1)^2 < 2^15.  In a prime field: int a."""
     if r == 1:
         return a
     eye = np.eye(r, dtype=np.int64)
@@ -186,7 +186,7 @@ def _times(a: int, p: int, r: int, modulus: Sequence[int]):
     mat = 0 * eye
     for d in reversed(_low_digits(a, p, r)):
         mat = (mat @ comp + d * eye) % p
-    return mat
+    return mat.astype(np.int16 if r * (p - 1)**2 < 2**15 else np.int64)
 
 
 def _power(mat, e: int, p: int):
@@ -223,20 +223,35 @@ def _is_primitive(mat, p: int, q: int, factors) -> bool:
 def _exp_codes(mat, p: int, r: int) -> np.ndarray:
     """gamma^0, ..., gamma^(q-2) as codes, mat being gamma's multiplier, by
     doubling from exp[0] = 1: exp[n:2n] is exp[0:n] times gamma^n, whose
-    multiplier is squared at each level, on digit rows in blocks of about
-    CHUNK digits; einsum reads them as codes with no (q - 1, r) int64 copy."""
+    multiplier is squared at each level, on digit rows in CHUNK-digit blocks
+    read as codes by einsum (no (q - 1, r) int64 copy); at p == 2 the levels
+    with 2nr >= CHUNK run on the codes, as in table-driven CRC: table[c, b] is
+    the code of (b << 8c) * gamma^n, the XOR of the multiplier's rows b picks."""
     q = p**r
-    exp = np.zeros((q - 1, r), dtype=np.int16 if r > 1 else np.int64)
+    head = q - 1 if p > 2 else min(q - 1, 1 << (-(-CHUNK // (2 * r)) - 1).bit_length())
+    exp = np.zeros((head, r), dtype=np.int16 if r > 1 else np.int64)
     exp[0, 0] = 1
     rows, n = (max(1, CHUNK // r) if r > 1 else q), 1
-    while n < q - 1:
-        m = min(n, q - 1 - n)
+    while n < head:
+        m = min(n, head - n)
         for i in range(0, m, rows):
             j = min(i + rows, m)
             exp[n + i:n + j] = exp[i:j] @ mat % p if r > 1 else exp[i:j] * mat % p
         mat = mat @ mat % p if r > 1 else mat * mat % p  # products below 2^40
         n += m
-    return exp[:, 0] if r == 1 else np.einsum("ij,j->i", exp, p ** np.arange(r))
+    if n == q - 1:
+        return exp[:, 0] if r == 1 else np.einsum("ij,j->i", exp, p ** np.arange(r))
+    place, codes = p ** np.arange(r), np.empty(q - 1, dtype=np.int64)
+    np.einsum("ij,j->i", exp, place, out=codes[:n])
+    bits = (np.arange(256) << 8 * np.arange(-(-r // 8))[:, None])[..., None] & place > 0
+    while n < q - 1:
+        m, table = min(n, q - 1 - n), np.bitwise_xor.reduce(bits * (mat @ place), axis=2)
+        for i in range(0, m, CHUNK):
+            x = codes[i:min(i + CHUNK, m)]
+            codes[n + i:n + i + len(x)] = reduce(
+                np.bitwise_xor, (t.take(x >> 8 * c & 255) for c, t in enumerate(table)))
+        mat, n = mat @ mat % p, n + m
+    return codes
 
 
 @dataclass(frozen=True, repr=False)

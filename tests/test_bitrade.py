@@ -136,6 +136,23 @@ def test_validator_rejects_one_shared_triple_a_repeat_and_a_split_cell(field):
     assert not _agree(Bitrade(fs, 4, split, shifted))
 
 
+@pytest.mark.parametrize("p,r", [(7, 1), (2, 4), (3, 2)])
+def test_validator_sorts_halves_given_in_any_order(field, p, r):
+    # the validator skips its sort only for triples already in strictly
+    # increasing order; shuffled rows must give the same answers
+    b = _pair_bitrade(field, p, r)
+    rng = np.random.default_rng(p * 100 + r)
+    shuffled = replace(b, first=rng.permutation(b.first), second=rng.permutation(b.second))
+    assert not np.array_equal(shuffled.first, b.first)
+    assert _agree(shuffled)
+    for i in (1, len(b.first) // 2, len(b.first) - 1):
+        repeated = b.first.copy()
+        repeated[i] = repeated[i - 1]
+        assert not _agree(replace(b, first=repeated))
+        assert not _agree(replace(shuffled, first=rng.permutation(repeated)))
+        assert not _agree(replace(shuffled, second=rng.permutation(repeated)))
+
+
 def test_validator_rejects_two_symbols_in_one_cell(field):
     # b together with its copy whose symbols are shifted by d: the counts
     # double to 2k, the shapes still agree and the halves stay disjoint, but

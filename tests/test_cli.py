@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -280,6 +281,39 @@ def test_verify_refuses_a_reducible_modulus_with_a_given_gamma(capsys, tmp_path)
     code, doc = run_json(capsys, "verify", "--map", str(path))
     assert code == 2 and doc == {"error": "PreconditionError",
                                  "reason": "modulus (1, 0, 1) is reducible over Z_2"}
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-m", "orthokit", "verify", "--map",
+                           str(path)], capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == doc
+
+
+#: (y^6 + y + 1)(y^6 + y^3 + 1) over Z_2, with gamma = y; and the cube of
+#: GF(2^16)'s default gamma, whose order is (2^16 - 1) / 3.  Both tables
+#: have levels long enough to run through byte tables.
+LONG_LEVEL_REFUSALS = [
+    ({"p": 2, "r": 12, "modulus": [1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1], "gamma": 2},
+     "modulus (1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1) is reducible over Z_2"),
+    ({"p": 2, "r": 16, "gamma": 120}, "gamma=120 is not a primitive element"),
+]
+
+
+@pytest.mark.parametrize("spec,reason", LONG_LEVEL_REFUSALS,
+                         ids=["reducible", "not-primitive"])
+def test_refusals_where_the_byte_tables_run(capsys, tmp_path, spec, reason):
+    # the failed table check is re-decided with the same messages, in
+    # process and through verify, also with asserts stripped
+    import subprocess
+    from pathlib import Path
+    q = spec["p"] ** spec["r"]
+    assert build_field(2, 16).exp_array[3] == 120
+    with pytest.raises(PreconditionError, match=f"^{re.escape(reason)}$"):
+        build_field(spec["p"], spec["r"], spec.get("modulus"), spec["gamma"])
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps({"field": spec, "values": list(range(q))}))
+    code, doc = run_json(capsys, "verify", "--map", str(path))
+    assert code == 2 and doc == {"error": "PreconditionError", "reason": reason}
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-O", "-m", "orthokit", "verify", "--map",
                            str(path)], capture_output=True, text=True, cwd=tmp_path,

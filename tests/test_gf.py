@@ -317,7 +317,10 @@ def test_table_check_proves_the_modulus_irreducible(p, r):
 
 #: sha256 of exp_array's bytes at the default gamma and at gamma^j, j >= 2
 #: the smallest exponent prime to q - 1, for orders whose doubling crosses
-#: CHUNK-sized blocks, or runs one block per level on a prime field.
+#: CHUNK-sized blocks, or runs one block per level on a prime field, or at
+#: p == 2 runs its long levels through byte tables (2^11 to 2^20), and on
+#: either side of the int16 multiplier's bound r(p - 1)^2 < 2^15 (127^2 inside
+#: it; 181^2, whose products would wrap below 2^16, and 1019^2 outside).
 EXP_SHA256 = {
     (3, 9, 3): "ecb87d68e02335f8ae7751dd36fccb0c696bca79263e8c4c5534a428650c412d",
     (3, 9, 27): "a5e12d82b15f131f48b0afb8f49936f0ed5ec515370d0c3514c4aed083c7d554",
@@ -329,20 +332,43 @@ EXP_SHA256 = {
     (5, 7, 163): "c6a5631485a8c486cef03c313f7cd7a40d1f30c8422eacee8aff160aa6626f47",
     (101, 2, 120): "f6e44d8c70d0fed821aa033262a10204a923cf8dac8ac992b309a5b1967f3ce6",
     (101, 2, 10077): "056774346880e6a34a63b810525f334d841cb74b8da51310ce3f419b7394dbd0",
+    (127, 2, 135): "26c4a36f0b586d7e4e8587a065292196d51be41b9fd763f36af944d7e3c3faf9",
+    (127, 2, 3685): "6cefe7d9fa8497e88e02b69cfd266b40c3405e809c564ed3b08d5d60a44479ad",
+    (181, 2, 194): "fc37aa92400c69e7f392ba1ae8532df2fe8a9e8534084ab731c4de46c1e7614b",
+    (181, 2, 24982): "7c54981974af8531fa167cdc20ff326281b30e0359f158782657a60eb2b48d01",
     (1019, 1, 2): "c12f7a078c7e6e30c9147b251e85398479afe33e92f3000871b0d98e5c23be96",
     (1019, 1, 8): "d48d54c14814b02d1694b6f5f629ab4222cc8754ef218f0b46c0d7a985a7c6a0",
+    (1019, 2, 1025): "6632d8ab41289224b8549fd04bf0cf7d89c2acf109147d9aea99c5b69153a309",
+    (1019, 2, 757976): "8d0f89e6470e94cc98125755af7aaa20f8ca3de2b584ed3de046751be00ee8e4",
+    (2, 11, 2): "01e803e139292f167db469bed5a111742e2d05524cf4c957fd2e22a778be6619",
+    (2, 11, 4): "1689362e2d585aaefaea5077beb8c13e66ea1f070d0ce9eefcf51c96a4becdfb",
+    (2, 12, 6): "7f58e0c6889ab423e9bf3b462a487f2e9069a2a32677f4704c4aeb0c8b833012",
+    (2, 12, 20): "be1f15738ccd8e522de0685874bc70dc838fb9eb328b671393a49476d8a6d746",
+    (2, 17, 2): "0de24fbd487b79c49dd3ffd6ebd270751201ca2ae4ed2d08050ca0b40a4cc7f0",
+    (2, 17, 4): "fa339508543e5d7e93b6f69a508e1b7c53427d3f237a55e4d9fb78e8781d20e1",
+    (2, 18, 3): "acc604e406f229bfcf95a88b38c0dfbdc2c7870b22aa596a2d385b58ee79012c",
+    (2, 18, 5): "7d4d27adb5f5f980a4b2c65462a77a396978cc1a46ff896dac6405846010f806",
+    (2, 19, 2): "90f18d8811c65110d33a2d2a55e5e3acdd1aa632a4deee73226ffb3a0ce538e4",
+    (2, 19, 4): "fd5e6365c540d4c3648914ea451dff1aceb34f1e74ee857f37a117064778298f",
+    (2, 20, 2): "4cb1763d286d33f42814e96b18116a3f53b823240feed3677dbcb0bcef577222",
+    (2, 20, 4): "ca1459203e2c5e68f2e1031cb6cecc498deedb75344028897fb2c9c273893e38",
 }
 
 
-@pytest.mark.parametrize("p,r,gamma", sorted(EXP_SHA256))
-def test_large_exp_tables_are_pinned(field, p, r, gamma):
-    default = field(p, r)
+@pytest.mark.parametrize("p,r,gamma", [
+    pytest.param(*key, marks=pytest.mark.slow) if key[:2] == (2, 20) else key
+    for key in sorted(EXP_SHA256)])
+def test_large_exp_tables_are_pinned(p, r, gamma):
+    # fresh builds, not the cached field fixture, which would keep every table alive
+    default = build_field(p, r)
     j = next(j for j in range(2, default.q) if math.gcd(j, default.q - 1) == 1)
     assert gamma in (default.gamma, default.exp_array[j])
-    fs = field(p, r, None, gamma)
-    # each power times gamma is the next one, around the whole cycle
-    mat = _times(gamma, p, r, fs.modulus)
-    assert np.array_equal(_scale(fs.exp_array, mat, p), np.roll(fs.exp_array, -1))
+    fs = build_field(p, r, None, gamma)
+    # each power times gamma is the next one, around the whole cycle; in
+    # blocks, as _scale holds r int64 digits per code
+    mat, nxt = _times(gamma, p, r, fs.modulus), np.roll(fs.exp_array, -1)
+    for i in range(0, fs.q - 1, 2**16):
+        assert np.array_equal(_scale(fs.exp_array[i:i + 2**16], mat, p), nxt[i:i + 2**16])
     assert hashlib.sha256(fs.exp_array.tobytes()).hexdigest() == EXP_SHA256[p, r, gamma]
 
 
