@@ -8,17 +8,20 @@ p == 2); multiplication, inversion and powers go through exp/log tables for
 a fixed primitive element gamma, so each costs a couple of lookups.
 
 Each field holds its tables once, as read-only int64 arrays (exp_array,
-log_array; digit_array is built on first use), and its arithmetic is one
-array kernel: elementwise add_array / sub_array / mul_array, a field sum
-along an axis, and power_sums, the one kernel for sums of weighted powers
-of gamma, O(q) per row and node, and dft, all q - 1 rows of it at once in
-O(q * sum(l_i)) over the prime factors l_i of q - 1; transform alone
-chooses between them.  Addition has three branches: mod p for primes, XOR
-for p == 2, digit-wise mod p otherwise.  The scalar add, sub, neg and trace
-are the kernel on ints; mul, inv, pow and coset_index are .item() reads of
-the tables; all return ints.  The map and polynomial routines in ortho and
-polyops run on the kernel, in chunks of about CHUNK elements.  Tuple copies
-of the two tables, built on first read, are for callers outside the package.
+log_array), and its arithmetic is one array kernel: elementwise add_array /
+sub_array / mul_array, a field sum along an axis, and power_sums, the one
+kernel for sums of weighted powers of gamma, O(q) per row and node, and dft,
+all q - 1 rows of it at once in O(q * sum(l_i)) over the prime factors l_i
+of q - 1; transform alone chooses between them.  Addition has three
+branches: mod p for primes, XOR for p == 2, and otherwise lookups in two
+int16 tables of digit-wise sums and differences of the codes below
+P = p^h, P^2 <= 2^16, one per group of h digits (one when q <= P); those
+depend on p alone, so they are built on first use once per characteristic,
+not per field.  The scalar add, sub, neg and trace are the kernel on ints;
+mul, inv, pow and coset_index are .item() reads of the tables; all return
+ints.  The map and polynomial routines in ortho and polyops run on the
+kernel, in chunks of about CHUNK elements.  Tuple copies of the two tables,
+built on first read, are for callers outside the package.
 
 The tables are built with one multiplication, the multiplier of a: the
 r x r matrix M_a of x -> a*x on base-p digit rows, digits(x*a) ==
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -254,6 +257,26 @@ def _exp_codes(mat, p: int, r: int) -> np.ndarray:
     return codes
 
 
+@lru_cache(maxsize=8)
+def _digit_tables(p: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only flat int16 tables add[a * P + b] and sub[a * P + b] of the
+    digit-wise a + b and a - b mod p for the codes a, b < P = p^h, with h >= 1
+    the most digits with P^2 <= 2^16, and P.  They depend on p alone, so the
+    fields of one characteristic share them (the last eight p are kept; at
+    p > 256 a table is p^2 entries, 2 MB at 1021).  Each digit on top is one
+    broadcast of the one-digit table against the tables so far."""
+    d = np.arange(p, dtype=np.int16)
+    one = (d[:, None] + d) % p, (d[:, None] - d) % p
+    tables, size = one, p
+    while (size * p)**2 <= 2**16:
+        tables = [(t1[:, None, :, None] * size + t[None, :, None, :]).reshape(size * p, -1)
+                  for t1, t in zip(one, tables)]
+        size *= p
+    add, sub = (t.ravel() for t in tables)
+    add.flags.writeable = sub.flags.writeable = False
+    return add, sub, size
+
+
 @dataclass(frozen=True, repr=False)
 class FieldSpec:
     """Immutable description of GF(p^r) plus its arithmetic tables, two
@@ -340,14 +363,8 @@ class FieldSpec:
     # -- array kernel --------------------------------------------------------
     # Arguments are int64 arrays (or ints) of element codes; results are
     # int64 arrays broadcast from them (ints from ints on prime fields and
-    # at p == 2).
-
-    @cached_property
-    def digit_array(self) -> np.ndarray:
-        """digit_array[a, i] is base-p digit i of the code a (shape q x r)."""
-        place = self.p ** np.arange(self.r, dtype=np.int64)
-        codes = np.arange(self.q, dtype=np.int64)[:, None]
-        return (codes // place % self.p).astype(np.int16)
+    # at p == 2, int64 scalars from ints otherwise).  add_array and
+    # sub_array return fresh arrays, which callers may write in place.
 
     def _from_digits(self, digits: np.ndarray) -> np.ndarray:
         """Codes of a fresh array of digit sums (last axis), each taken mod p;
@@ -359,21 +376,47 @@ class FieldSpec:
             code += digits[..., i]
         return code
 
+    @cached_property
+    def _digit_groups(self) -> tuple[np.ndarray, np.ndarray, np.int64, int]:
+        """_digit_tables(p), P as an np.int64, so that a * P + b is int64
+        for codes of any integer dtype, and the place P^k of the top group of
+        digits of a code, P^k < q <= P^(k + 1)."""
+        add, sub, size = _digit_tables(self.p)
+        top = 1
+        while top * size < self.q:
+            top *= size
+        return add, sub, np.int64(size), top
+
+    def _digitwise(self, table: np.ndarray, a, b) -> np.ndarray:
+        """table read on each group of digits of the codes a and b, a fresh
+        int64 result: one gather when q <= P, otherwise one per group."""
+        _, _, size, top = self._digit_groups
+        index = []  # from the top group down
+        while top > 1:
+            ha, hb = a // top, b // top
+            index.append(ha * size + hb)
+            a, b = a - ha * top, b - hb * top
+            top //= size
+        index.append(a * size + b)
+        out = table[index[0]].astype(np.int64)
+        for i in index[1:]:
+            out *= size
+            out += table[i]
+        return out
+
     def add_array(self, a, b) -> np.ndarray:
         if self.r == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        d = self.digit_array
-        return self._from_digits(d[a] + d[b])
+        return self._digitwise(self._digit_groups[0], a, b)
 
     def sub_array(self, a, b) -> np.ndarray:
         if self.r == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        d = self.digit_array
-        return self._from_digits(d[a] - d[b])
+        return self._digitwise(self._digit_groups[1], a, b)
 
     def mul_array(self, a, b) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
@@ -525,7 +568,8 @@ class FieldSpec:
         """Every code with its base-p digits spread to `bits` bits each, and
         the run length of terms that can be added before a digit overflows."""
         bits = 63 // self.r
-        wide = self.digit_array.astype(np.int64) @ (1 << (bits * np.arange(self.r)))
+        digits = np.arange(self.q)[:, None] // self.p ** np.arange(self.r) % self.p
+        wide = digits @ (1 << (bits * np.arange(self.r)))
         return wide, bits, ((1 << bits) - 1) // (self.p - 1)
 
 

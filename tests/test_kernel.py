@@ -67,6 +67,68 @@ def test_kernel_ops_match_oracle(field, p, r):
         fs.sum_array(rows, axis=-1).tolist()
 
 
+def _check_add_sub(fs, a, b):
+    """add_array and sub_array of the code arrays a, b against the oracle."""
+    of = OracleField(fs.p, fs.r, fs.modulus)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert fs.add_array(a, b).tolist() == [of.add(x, y) for x, y in pairs]
+    assert fs.sub_array(a, b).tolist() == [of.sub(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("p,r", [(7, 3), (17, 2)])
+def test_add_sub_every_pair_of_multi_group_fields(field, p, r):
+    # q > P: one table gather per group of digits, two groups here
+    fs = field(p, r)
+    a, b = np.divmod(np.arange(fs.q * fs.q), fs.q)
+    _check_add_sub(fs, a, b)
+
+
+@pytest.mark.parametrize("p,r", [(3, 6), (5, 4), (3, 9), (3, 12), (101, 3), (1019, 2)])
+def test_add_sub_seeded_pairs_of_larger_fields(field, p, r):
+    # two and three groups of digits, and p > 256 where a group is one digit
+    fs = field(p, r)
+    a, b = np.random.default_rng(fs.q).integers(0, fs.q, size=(2, 4000))
+    a[:3], b[:3] = [0, fs.q - 1, fs.q - 1], [fs.q - 1, 0, fs.q - 1]
+    _check_add_sub(fs, a, b)
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 5), (7, 3), (3, 12)])
+def test_add_sub_call_shapes(field, p, r):
+    fs = field(p, r)
+    of = OracleField(p, r, fs.modulus)
+    rng = np.random.default_rng(fs.q)
+    a, b = rng.integers(0, fs.q, size=(2, 50))
+    c = int(rng.integers(1, fs.q))
+    col = a[:6, None]
+    # narrow codes: a * P + b must not overflow their dtype
+    narrow = [(a.astype(np.int16), b.astype(np.uint16))] if fs.q < 2**15 else []
+    for op, want in ((fs.add_array, of.add), (fs.sub_array, of.sub)):
+        for x, y in [(a, b), (a, c), (c, b), (col, b)] + narrow:
+            got = op(x, y)
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            xs, ys = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+            assert got.shape == shape
+            assert got.tolist() == np.vectorize(want)(xs, ys).tolist()
+            # fresh and writable: bitrade._half scales its keys in place
+            assert got.dtype == np.int64 and got.flags.writeable
+            assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+        assert int(op(c, 5)) == want(c, 5) and int(op(0, 0)) == 0
+    assert fs.add(c, 5) == of.add(c, 5) and fs.sub(c, 5) == of.sub(c, 5)
+    assert fs.neg(c) == of.sub(0, c) and fs.neg(0) == 0
+
+
+def test_add_sub_tables_shared_across_moduli():
+    # digit-wise addition does not depend on the modulus or gamma: two
+    # fields of GF(3^5) read the same tables and both match the oracle
+    one, two = build_field(3, 5), build_field(3, 5, (2, 1, 2, 2, 2, 1))
+    assert one.modulus != two.modulus
+    for fs in (one, two):
+        assert fs._digit_groups[0] is one._digit_groups[0]
+        assert fs._digit_groups[1] is one._digit_groups[1]
+        a, b = np.divmod(np.arange(fs.q * fs.q), fs.q)
+        _check_add_sub(fs, a, b)
+
+
 def _oracle_power_sums(of, vals):
     """sum over x of vals[x] * x^e for e in [0, q - 1), with 0^0 = 1."""
     powers = [[1] * (of.q - 1) for _ in range(of.q)]
