@@ -14,14 +14,17 @@ kernel for sums of weighted powers of gamma, O(q) per row and node, and dft,
 all q - 1 rows of it at once in O(q * sum(l_i)) over the prime factors l_i
 of q - 1; transform alone chooses between them.  Addition has three
 branches: mod p for primes, XOR for p == 2, and otherwise lookups in two
-int16 tables of digit-wise sums and differences of the codes below
-P = p^h, P^2 <= 2^16, one per group of h digits (one when q <= P); those
-depend on p alone, so they are built on first use once per characteristic,
-not per field.  The scalar add, sub, neg and trace are the kernel on ints;
-mul, inv, pow and coset_index are .item() reads of the tables; all return
-ints.  The map and polynomial routines in ortho and polyops run on the
-kernel, in chunks of about CHUNK elements.  Tuple copies of the two tables,
-built on first read, are for callers outside the package.
+int16 tables of digit-wise sums and differences of the codes below P = p^h,
+P^2 <= 2^16, one per group of h digits (one when q <= P); those depend on p
+alone, so they are built on first use once per characteristic, not per
+field.  A field sum has the same three branches; in the third the codes are
+added with their digits spread far enough apart not to carry within a run of
+terms, and the digit sums, taken mod p, come back as codes by one product
+with the place vector p^i.  The scalar add, sub, neg and trace are the
+kernel on ints; mul, inv, pow and coset_index are .item() reads of the
+tables; all return ints.  The map and polynomial routines in ortho and
+polyops run on the kernel, in chunks of about CHUNK elements.  Tuple copies
+of the two tables, built on first read, are for callers outside the package.
 
 The tables are built with one multiplication, the multiplier of a: the
 r x r matrix M_a of x -> a*x on base-p digit rows, digits(x*a) ==
@@ -366,16 +369,6 @@ class FieldSpec:
     # at p == 2, int64 scalars from ints otherwise).  add_array and
     # sub_array return fresh arrays, which callers may write in place.
 
-    def _from_digits(self, digits: np.ndarray) -> np.ndarray:
-        """Codes of a fresh array of digit sums (last axis), each taken mod p;
-        works in place, so no r-fold int64 temporary is made."""
-        digits %= self.p
-        code = np.zeros(digits.shape[:-1], dtype=np.int64)
-        for i in reversed(range(self.r)):
-            code *= self.p
-            code += digits[..., i]
-        return code
-
     @cached_property
     def _digit_groups(self) -> tuple[np.ndarray, np.ndarray, np.int64, int]:
         """_digit_tables(p), P as an np.int64, so that a * P + b is int64
@@ -431,11 +424,14 @@ class FieldSpec:
         if self.p == 2:
             return np.bitwise_xor.reduce(a, axis=axis)
         # add the codes as plain integers in a radix wide enough that no
-        # digit carries within a run, then reduce each digit mod p
+        # digit carries within a run, add up the runs' digits, reduce them
+        # mod p in place and read them back as codes through p^i
         wide, bits, run = self._wide_codes
         partial = np.add.reduceat(wide[a], np.arange(0, a.shape[axis], run), axis=axis)
         digits = (partial[..., None] >> (bits * np.arange(self.r))) & ((1 << bits) - 1)
-        return self._from_digits(digits.sum(axis=axis % a.ndim, dtype=np.int64))
+        digits = digits.sum(axis=axis % a.ndim, dtype=np.int64)
+        digits %= self.p
+        return digits @ self.p ** np.arange(self.r)
 
     def power_sums(self, w: np.ndarray, m: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Rows [lo, hi) of the power sums of the nodes gamma^m weighted by

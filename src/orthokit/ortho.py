@@ -133,9 +133,7 @@ def translate(t: MapTable, g: int) -> MapTable:
     fs = t.field
     if not 0 <= (g := as_int(g, f"g={g} is not an element code")) < fs.q:
         raise PreconditionError(f"g={g} is not an element code in [0, {fs.q})")
-    v = t.values
-    shifted = v[fs.add_array(np.arange(fs.q, dtype=np.int64), g)]
-    return MapTable(fs, fs.sub_array(shifted, v[g]))
+    return MapTable(fs, _translations(fs, np.arange(fs.q), t.values, np.array([g])))
 
 
 def cyclotomic_map(field: FieldSpec, n: int, coeffs) -> MapTable:
@@ -223,10 +221,11 @@ def _period_checks(fs: FieldSpec) -> list[tuple[int, np.ndarray]]:
             for d in (q1 // ell for ell in distinct_prime_factors(q1))]
 
 
-def _translations(fs: FieldSpec, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """T_g(gamma^k) = v(gamma^k + g) - v(g) for k < q - 1, for maps v along
-    the last axis and translations g of size 1 there, broadcast together."""
-    return fs.sub_array(np.take_along_axis(v, fs.add_array(fs.exp_array, g), -1),
+def _translations(fs: FieldSpec, x: np.ndarray, v: np.ndarray,
+                  g: np.ndarray) -> np.ndarray:
+    """T_g(x) = v(x + g) - v(g) at the points x, for maps v along the last
+    axis and translations g of size 1 there, broadcast together."""
+    return fs.sub_array(np.take_along_axis(v, fs.add_array(x, g), -1),
                         np.take_along_axis(v, g, -1))
 
 
@@ -282,7 +281,8 @@ def _certify(fs: FieldSpec, tables: np.ndarray, checks) -> tuple[np.ndarray, np.
                          fs.exp_array[-fs.log_array[denom] % q1])
         for lo in range(0, len(idx), step := max(1, CHUNK // fs.q)):  # bounded memory
             i, gi = idx[lo:lo + step], g[lo:lo + step, None]
-            irregular[i] = ~_cyclotomic(_translations(fs, tables[i], gi), checks)
+            tg = _translations(fs, fs.exp_array, tables[i], gi)
+            irregular[i] = ~_cyclotomic(tg, checks)
     return path, irregular
 
 
@@ -297,7 +297,8 @@ def _scan(fs: FieldSpec, tables: np.ndarray, checks) -> np.ndarray:
     lo, rows = 0, 1
     while lo < q and len(left):
         g = np.arange(lo, min(lo + rows, q))[None, :, None]
-        hit = _cyclotomic(_translations(fs, tables[left, None], g), checks).any(axis=1)
+        tg = _translations(fs, fs.exp_array, tables[left, None], g)
+        hit = _cyclotomic(tg, checks).any(axis=1)
         found[left[hit]] = True
         left = left[~hit]
         lo += rows

@@ -416,7 +416,8 @@ def test_trace_frozen_values(field):
     assert fs_user.trace(2) == 0
 
 
-@pytest.mark.parametrize("p,r", [(2, 3), (2, 4), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,r", [(2, 3), (2, 4), (3, 2), (5, 2), (3, 3),
+                                 (3, 5), (3, 6), (7, 3), (11, 2)])
 def test_trace_properties(field, p, r):
     fs = field(p, r)
     of = oracle_for(fs)
@@ -426,7 +427,7 @@ def test_trace_properties(field, p, r):
         assert 0 <= t < p  # lands in the prime subfield
         assert fs.trace(fs.pow(a, p) if a else 0) == t  # Frobenius-invariant
     for a in range(fs.q):
-        for b in range(0, fs.q, 3):
+        for b in range(0, fs.q, max(3, fs.q // 27)):  # about 27 b per a from q = 81
             assert fs.trace(fs.add(a, b)) == (fs.trace(a) + fs.trace(b)) % p
     assert fs.trace(1) == r % p
 

@@ -57,3 +57,17 @@ def test_census_sweep_script():
             assert row["degree_histogram"] == {str(d): k for d, k in want["hist"].items()}
             assert row["min_pairwise_distance"] == want["mind"]
             assert row["irregular_count"] == want["irr"]
+
+
+def test_stdout_digests_script():
+    # two runs agree byte for byte, one digest per seeded command
+    first = _script("stdout_digests.py", "--max-q", "9")
+    second = _script("stdout_digests.py", "--max-q", "9")
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    doc = json.loads(first.stdout)
+    assert list(doc) == sorted(doc)
+    assert len(doc) == 8 * len(prime_powers(9)) + 3  # census 7, 8 and 9
+    assert doc["census 3 2"][0] == 0 and doc["pair 2 3 --seed 0"][0] == 2
+    assert doc["bitrade 7 1 --seed 7 --format csv"][0] == 0
+    assert all(len(digest) == 64 for _, digest in doc.values())
